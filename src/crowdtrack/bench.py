@@ -13,9 +13,10 @@ the 0.5 m rule.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,8 +194,7 @@ class JointTracker:
         base_model, adaptive = resolve_model(model)
         self.model = base_model
         if filter_kind == "pf":
-            cfg = HpfConfig(order_k=1, pi=(1.0,), particles_m=cfg.particles_m,
-                            top_m_selection=cfg.top_m_selection)
+            cfg = HpfConfig(order_k=1, pi=(1.0,), particles_m=cfg.particles_m)
         elif filter_kind != "hpf":
             raise ValueError(f"unknown filter kind '{filter_kind}'")
         self.cfg = cfg
@@ -273,6 +273,14 @@ class JointTracker:
         return out
 
 
+class ConfigError(ValueError):
+    """A configuration value is unknown or invalid; ``key`` names its key."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"config error in '{key}': {message}")
+        self.key = key
+
+
 @dataclass
 class ProtocolConfig:
     """Shared knobs of both protocols."""
@@ -289,16 +297,119 @@ class ProtocolConfig:
     track_steps: int = 24
     tracking_horizons: Tuple[int, ...] = (16, 24)
     threshold: float = SUCCESS_THRESHOLD
-    #: (position, velocity) spread of the initial particle cloud; None derives
-    #: it from sigma_obs for noisy traces and collapses it for exact ones.
-    init_spread: Optional[Tuple[float, float]] = None
+
+    def __post_init__(self):
+        for name in ("sigma_obs", "threshold"):
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and > 0")
+        for name in ("start_stride", "learn_steps", "track_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name, steps in (("prediction_horizons", self.predict_steps),
+                            ("tracking_horizons", self.track_steps)):
+            if not all(1 <= h <= steps for h in getattr(self, name)):
+                raise ValueError(f"{name} must lie in 1..{steps}")
 
     def resolve_init_spread(self, dt: float, exact_observations: bool):
-        if self.init_spread is not None:
-            return self.init_spread
+        """(position, velocity) spread of the initial particle cloud: derived
+        from sigma_obs for noisy traces, collapsed for exact ones."""
         if exact_observations:
             return (0.0, 0.0)
         return (self.sigma_obs, 1.5 * self.sigma_obs / dt)
+
+
+@dataclass(frozen=True)
+class Key:
+    """One configuration key: the attribute it sets, its parser and echo format.
+
+    ``path`` is a field of the configured object, or ``section.field`` for a
+    field of one of its nested dataclasses.
+    """
+
+    path: str
+    parse: Callable[[str], object]
+    echo: Callable[[object], str] = repr
+
+    def read(self, obj):
+        return functools.reduce(getattr, self.path.split("."), obj)
+
+
+def parse_int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"expected integer, got '{raw}'") from None
+
+
+def parse_float(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"expected number, got '{raw}'") from None
+
+
+def parse_ints(raw: str) -> Tuple[int, ...]:
+    return tuple(parse_int(part) for part in raw.split(",") if part.strip())
+
+
+def parse_floats(raw: str) -> Tuple[float, ...]:
+    return tuple(parse_float(part) for part in raw.split(",") if part.strip())
+
+
+def echo_list(values) -> str:
+    return ",".join(repr(v) for v in values)
+
+
+#: Protocol configuration keys, the names used by config files, ``--set``,
+#: ``sweep.grid.<key>``, ``config.echo`` and `sweep`.
+PROTOCOL_KEYS: Dict[str, Key] = {
+    "hpf.k": Key("hpf.order_k", parse_int),
+    "hpf.pi": Key("hpf.pi", parse_floats, echo_list),
+    "hpf.m": Key("hpf.particles_m", parse_int),
+    "noise.sigma_position": Key("noise.sigma_position", parse_float),
+    "noise.sigma_velocity": Key("noise.sigma_velocity", parse_float),
+    "noise.sigma_desired": Key("noise.sigma_desired", parse_float),
+    "rvo.tau": Key("params.time_horizon_tau", parse_float),
+    "rvo.dt": Key("params.dt", parse_float),
+    "rvo.neighbor_radius": Key("params.neighbor_radius", parse_float),
+    "body.radius": Key("body.radius", parse_float),
+    "body.max_speed": Key("body.max_speed", parse_float),
+    "obs.sigma": Key("sigma_obs", parse_float),
+    "bench.learn_steps": Key("learn_steps", parse_int),
+    "bench.predict_steps": Key("predict_steps", parse_int),
+    "bench.start_stride": Key("start_stride", parse_int),
+    "bench.track_steps": Key("track_steps", parse_int),
+    "bench.prediction_horizons": Key("prediction_horizons", parse_ints, echo_list),
+    "bench.tracking_horizons": Key("tracking_horizons", parse_ints, echo_list),
+    "bench.threshold": Key("threshold", parse_float),
+}
+
+
+def configure(base: ProtocolConfig, settings: Dict[str, object]) -> ProtocolConfig:
+    """`base` with parsed ``{key: value}`` settings applied, one replace per section.
+
+    Every dataclass validates its fields once; a rejected value raises
+    ConfigError naming the key of the field the error message starts with.
+    """
+    changes: Dict[str, Dict[str, object]] = {}
+    for key, value in settings.items():
+        if key not in PROTOCOL_KEYS:
+            raise ConfigError(key, "unknown protocol key")
+        section, _, name = PROTOCOL_KEYS[key].path.rpartition(".")
+        changes.setdefault(section, {})[name] = value
+
+    def build(section, obj, fields):
+        try:
+            return replace(obj, **fields)
+        except ValueError as exc:
+            path = ".".join(filter(None, (section, str(exc).split()[0])))
+            key = next((k for k, spec in PROTOCOL_KEYS.items() if spec.path == path), "config")
+            raise ConfigError(key, str(exc)) from None
+
+    top = changes.pop("", {})
+    for section, fields in changes.items():
+        top[section] = build(section, getattr(base, section), fields)
+    return build("", base, top)
 
 
 def _observation_at(scenario: Scenario, trace: Optional[ObservationTrace],
@@ -447,44 +558,27 @@ class SweepResult:
                 fh.write(",".join(str(combo[k]) for k in keys) + f",{score:.6f}\n")
 
 
-def _apply_override(cfg: ProtocolConfig, key: str, value) -> ProtocolConfig:
-    if key.startswith("noise."):
-        return replace(cfg, noise=replace(cfg.noise, **{key[6:]: value}))
-    if key.startswith("rvo."):
-        mapping = {"tau": "time_horizon_tau", "dt": "dt", "neighbor_radius": "neighbor_radius"}
-        return replace(cfg, params=replace(cfg.params, **{mapping.get(key[4:], key[4:]): value}))
-    if key.startswith("hpf."):
-        mapping = {"k": "order_k", "m": "particles_m", "pi": "pi"}
-        return replace(cfg, hpf=replace(cfg.hpf, **{mapping.get(key[4:], key[4:]): value}))
-    if key == "obs.sigma":
-        return replace(cfg, sigma_obs=value)
-    if hasattr(cfg, key):
-        return replace(cfg, **{key: value})
-    raise ValueError(f"unknown sweep key '{key}'")
-
-
 def sweep(grid: Dict[str, Sequence], scenarios: Sequence[Scenario],
           objective: str = "mean_error", base: Optional[ProtocolConfig] = None,
           model: str = "rvo+", filter_kind: str = "hpf", seed: int = 0,
           traces: Optional[Sequence[ObservationTrace]] = None) -> SweepResult:
-    """Exhaustive search over dotted config keys.
+    """Exhaustive search over protocol keys (`PROTOCOL_KEYS`).
 
     ``mean_error`` minimizes the prediction protocol's overall average;
     ``st`` maximizes total successful tracks (requires traces).  Ties keep
-    the first combination in enumeration order.
+    the first combination in enumeration order.  Every combination is
+    validated before the first one runs.
     """
     if objective not in ("mean_error", "st"):
         raise ValueError("objective must be 'mean_error' or 'st'")
     base = base or ProtocolConfig()
     keys = sorted(grid)
+    combos = [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]
+    configs = [configure(base, combo) for combo in combos]
     rows: List[Tuple[Dict[str, object], float]] = []
     best = None
     best_score = None
-    for values in itertools.product(*(grid[k] for k in keys)):
-        combo = dict(zip(keys, values))
-        cfg = base
-        for k, v in combo.items():
-            cfg = _apply_override(cfg, k, v)
+    for combo, cfg in zip(combos, configs):
         scores = []
         for i, scenario in enumerate(scenarios):
             if objective == "mean_error":

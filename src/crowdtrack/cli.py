@@ -17,14 +17,11 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from .bench import (NoEligibleTrials, ProtocolConfig, min_pairwise_separation,
-                    run_prediction_protocol, run_tracking_protocol, sweep)
-from .data import (EmptyFile, MalformedRow, NonMonotoneFrames, Scenario,
-                   corrupt, make_scenario, parse_trajectories,
-                   write_trajectories)
-from .filters import HpfConfig
-from .motion import BodySpec, NoiseSpec, resolve_model
-from .rvo import RvoParams
+from .bench import (PROTOCOL_KEYS, ConfigError, Key, NoEligibleTrials, ProtocolConfig,
+                    configure, echo_list, min_pairwise_separation, parse_float, parse_int,
+                    parse_ints, run_prediction_protocol, run_tracking_protocol, sweep)
+from .data import Scenario, corrupt, make_scenario, parse_trajectories, write_trajectories
+from .motion import resolve_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,15 +29,13 @@ EXIT_NO_TRIALS = 3
 EXIT_IO = 4
 
 
-class ConfigError(ValueError):
-    def __init__(self, key: str, message: str):
-        super().__init__(f"config error in '{key}': {message}")
-        self.key = key
-
-
 @dataclass
 class RunConfig:
-    """Effective configuration of one command invocation."""
+    """Run options of one command invocation.
+
+    Protocol keys stay parsed in ``settings`` until every setting is merged;
+    `configure` then builds the ProtocolConfig once.
+    """
 
     model: str = "rvo+"
     filter_kind: str = "hpf"
@@ -51,230 +46,106 @@ class RunConfig:
     input: Optional[str] = None
     fmt: str = "csv-fixy"
     out: str = "out"
-    hpf_k: int = 2
-    hpf_pi: Tuple[float, ...] = (0.91, 0.09)
-    hpf_m: int = 400
-    sigma_position: float = 0.05
-    sigma_velocity: float = 0.1
-    sigma_desired: float = 0.05
-    rvo_tau: float = 2.0
-    rvo_dt: float = 0.4
-    rvo_neighbor_radius: float = 10.0
-    body_radius: float = 0.2
-    body_max_speed: float = 2.5
-    obs_sigma: float = 0.1
     obs_noise: float = 0.0
     occlusions: Tuple[Tuple[int, int, int], ...] = ()
-    learn_steps: int = 10
-    predict_steps: int = 30
-    start_stride: int = 16
-    track_steps: int = 24
-    prediction_horizons: Tuple[int, ...] = (5, 15, 30)
-    tracking_horizons: Tuple[int, ...] = (16, 24)
-    threshold: float = 0.5
     sweep_objective: str = "mean_error"
-    sweep_grid: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
     sweep_seeds: Tuple[int, ...] = (0,)
-
-    def hpf_config(self) -> HpfConfig:
-        try:
-            return HpfConfig(order_k=self.hpf_k, pi=self.hpf_pi, particles_m=self.hpf_m)
-        except ValueError as exc:
-            raise ConfigError("hpf.pi" if "pi" in str(exc) else "hpf.k", str(exc)) from None
-
-    def protocol_config(self) -> ProtocolConfig:
-        try:
-            return ProtocolConfig(
-                hpf=self.hpf_config(),
-                noise=NoiseSpec(self.sigma_position, self.sigma_velocity, self.sigma_desired),
-                params=RvoParams(self.rvo_tau, self.rvo_dt, self.rvo_neighbor_radius),
-                body=BodySpec(self.body_radius, self.body_max_speed),
-                sigma_obs=self.obs_sigma,
-                start_stride=self.start_stride,
-                learn_steps=self.learn_steps,
-                predict_steps=self.predict_steps,
-                prediction_horizons=self.prediction_horizons,
-                track_steps=self.track_steps,
-                tracking_horizons=self.tracking_horizons,
-                threshold=self.threshold,
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError("config", str(exc)) from None
-
-    def echo_lines(self) -> List[str]:
-        items = {
-            "model": self.model,
-            "filter": self.filter_kind,
-            "seed": self.seed,
-            "kind": self.kind or "",
-            "agents": self.agents,
-            "steps": "" if self.steps is None else self.steps,
-            "input": self.input or "",
-            "format": self.fmt,
-            "out": self.out,
-            "hpf.k": self.hpf_k,
-            "hpf.pi": ",".join(repr(p) for p in self.hpf_pi),
-            "hpf.m": self.hpf_m,
-            "noise.sigma_position": repr(self.sigma_position),
-            "noise.sigma_velocity": repr(self.sigma_velocity),
-            "noise.sigma_desired": repr(self.sigma_desired),
-            "rvo.tau": repr(self.rvo_tau),
-            "rvo.dt": repr(self.rvo_dt),
-            "rvo.neighbor_radius": repr(self.rvo_neighbor_radius),
-            "body.radius": repr(self.body_radius),
-            "body.max_speed": repr(self.body_max_speed),
-            "obs.sigma": repr(self.obs_sigma),
-            "obs.noise": repr(self.obs_noise),
-            "occlusions": ";".join(f"{a}:{s}:{l}" for a, s, l in self.occlusions),
-            "bench.learn_steps": self.learn_steps,
-            "bench.predict_steps": self.predict_steps,
-            "bench.start_stride": self.start_stride,
-            "bench.track_steps": self.track_steps,
-            "bench.prediction_horizons": ",".join(str(h) for h in self.prediction_horizons),
-            "bench.tracking_horizons": ",".join(str(h) for h in self.tracking_horizons),
-            "bench.threshold": repr(self.threshold),
-            "sweep.objective": self.sweep_objective,
-            "sweep.seeds": ",".join(str(s) for s in self.sweep_seeds),
-        }
-        for key in sorted(self.sweep_grid):
-            items[f"sweep.grid.{key}"] = ";".join(repr(v) for v in self.sweep_grid[key])
-        return [f"{k} = {items[k]}" for k in sorted(items)]
+    sweep_grid: Dict[str, Tuple] = field(default_factory=dict)
+    settings: Dict[str, object] = field(default_factory=dict)
 
 
-def _parse_float_list(raw: str, key: str) -> Tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in raw.split(",") if part.strip() != "")
-    except ValueError:
-        raise ConfigError(key, f"expected comma-separated numbers, got '{raw}'") from None
+def _choice(*allowed):
+    def parse(raw):
+        if raw not in allowed:
+            raise ValueError(f"expected {' or '.join(allowed)}, got '{raw}'")
+        return raw
+    return parse
 
 
-def _parse_int_list(raw: str, key: str) -> Tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip() != "")
-    except ValueError:
-        raise ConfigError(key, f"expected comma-separated integers, got '{raw}'") from None
+def _optional(parse):
+    return lambda raw: parse(raw) if raw else None
 
 
-def _parse_occlusions(raw: str, key: str) -> Tuple[Tuple[int, int, int], ...]:
-    if not raw.strip():
-        return ()
+def _blank(value) -> str:
+    return "" if value is None else str(value)
+
+
+def _parse_model(raw: str) -> str:
+    resolve_model(raw)
+    return raw
+
+
+def _parse_seed(raw: str) -> int:
+    seed = parse_int(raw)
+    if not (0 <= seed < 2**64):
+        raise ValueError("must be a 64-bit unsigned value")
+    return seed
+
+
+def _parse_occlusions(raw: str) -> Tuple[Tuple[int, int, int], ...]:
     windows = []
-    for chunk in raw.split(";"):
+    for chunk in raw.split(";") if raw else ():
         parts = chunk.split(":")
         if len(parts) != 3:
-            raise ConfigError(key, f"expected id:start:length, got '{chunk}'")
+            raise ValueError(f"expected id:start:length, got '{chunk}'")
         try:
             windows.append(tuple(int(p) for p in parts))
         except ValueError:
-            raise ConfigError(key, f"expected integers in '{chunk}'") from None
+            raise ValueError(f"expected integers in '{chunk}'") from None
     return tuple(windows)
 
 
+#: Run-option keys: each names a field of RunConfig.
+RUN_KEYS: Dict[str, Key] = {
+    "model": Key("model", _parse_model, str),
+    "filter": Key("filter_kind", _choice("pf", "hpf"), str),
+    "seed": Key("seed", _parse_seed),
+    "kind": Key("kind", _optional(str), _blank),
+    "agents": Key("agents", parse_int),
+    "steps": Key("steps", _optional(parse_int), _blank),
+    "input": Key("input", _optional(str), _blank),
+    "format": Key("fmt", _choice("csv-fixy", "obsmat"), str),
+    "out": Key("out", str, str),
+    "obs.noise": Key("obs_noise", parse_float),
+    "occlusions": Key("occlusions", _parse_occlusions,
+                      lambda windows: ";".join(f"{a}:{s}:{l}" for a, s, l in windows)),
+    "sweep.objective": Key("sweep_objective", _choice("mean_error", "st"), str),
+    "sweep.seeds": Key("sweep_seeds", parse_ints, echo_list),
+}
+
+GRID_PREFIX = "sweep.grid."
+
+
+def echo_lines(cfg: RunConfig, protocol: ProtocolConfig) -> List[str]:
+    items = {key: spec.echo(spec.read(cfg)) for key, spec in RUN_KEYS.items()}
+    items.update((key, spec.echo(spec.read(protocol))) for key, spec in PROTOCOL_KEYS.items())
+    items.update((GRID_PREFIX + key, ";".join(PROTOCOL_KEYS[key].echo(v) for v in values))
+                 for key, values in cfg.sweep_grid.items())
+    return [f"{k} = {items[k]}" for k in sorted(items)]
+
+
 def apply_setting(cfg: RunConfig, key: str, raw: str) -> RunConfig:
-    """Apply one dotted ``key = value`` setting to the config."""
+    """Parse one dotted ``key = value`` setting into the config."""
     key = key.strip()
     raw = raw.strip()
-
-    def as_int(k):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(k, f"expected integer, got '{raw}'") from None
-
-    def as_float(k):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(k, f"expected number, got '{raw}'") from None
-
-    if key == "model":
-        try:
-            resolve_model(raw)
-        except (ValueError, NotImplementedError) as exc:
-            raise ConfigError("model", str(exc)) from None
-        return replace(cfg, model=raw)
-    if key == "filter":
-        if raw not in ("pf", "hpf"):
-            raise ConfigError("filter", f"expected pf or hpf, got '{raw}'")
-        return replace(cfg, filter_kind=raw)
-    if key == "seed":
-        seed = as_int(key)
-        if not (0 <= seed < 2**64):
-            raise ConfigError("seed", "must be a 64-bit unsigned value")
-        return replace(cfg, seed=seed)
-    if key == "kind":
-        return replace(cfg, kind=raw or None)
-    if key == "agents":
-        return replace(cfg, agents=as_int(key))
-    if key == "steps":
-        return replace(cfg, steps=None if raw == "" else as_int(key))
-    if key == "input":
-        return replace(cfg, input=raw or None)
-    if key == "format":
-        if raw not in ("csv-fixy", "obsmat"):
-            raise ConfigError("format", f"expected csv-fixy or obsmat, got '{raw}'")
-        return replace(cfg, fmt=raw)
-    if key == "out":
-        return replace(cfg, out=raw)
-    if key == "hpf.k":
-        return replace(cfg, hpf_k=as_int(key))
-    if key == "hpf.pi":
-        return replace(cfg, hpf_pi=_parse_float_list(raw, key))
-    if key == "hpf.m":
-        return replace(cfg, hpf_m=as_int(key))
-    if key == "noise.sigma_position":
-        return replace(cfg, sigma_position=as_float(key))
-    if key == "noise.sigma_velocity":
-        return replace(cfg, sigma_velocity=as_float(key))
-    if key == "noise.sigma_desired":
-        return replace(cfg, sigma_desired=as_float(key))
-    if key == "rvo.tau":
-        return replace(cfg, rvo_tau=as_float(key))
-    if key == "rvo.dt":
-        return replace(cfg, rvo_dt=as_float(key))
-    if key == "rvo.neighbor_radius":
-        return replace(cfg, rvo_neighbor_radius=as_float(key))
-    if key == "body.radius":
-        return replace(cfg, body_radius=as_float(key))
-    if key == "body.max_speed":
-        return replace(cfg, body_max_speed=as_float(key))
-    if key == "obs.sigma":
-        return replace(cfg, obs_sigma=as_float(key))
-    if key == "obs.noise":
-        return replace(cfg, obs_noise=as_float(key))
-    if key == "occlusions":
-        return replace(cfg, occlusions=_parse_occlusions(raw, key))
-    if key == "bench.learn_steps":
-        return replace(cfg, learn_steps=as_int(key))
-    if key == "bench.predict_steps":
-        return replace(cfg, predict_steps=as_int(key))
-    if key == "bench.start_stride":
-        return replace(cfg, start_stride=as_int(key))
-    if key == "bench.track_steps":
-        return replace(cfg, track_steps=as_int(key))
-    if key == "bench.prediction_horizons":
-        return replace(cfg, prediction_horizons=_parse_int_list(raw, key))
-    if key == "bench.tracking_horizons":
-        return replace(cfg, tracking_horizons=_parse_int_list(raw, key))
-    if key == "bench.threshold":
-        return replace(cfg, threshold=as_float(key))
-    if key == "sweep.objective":
-        if raw not in ("mean_error", "st"):
-            raise ConfigError("sweep.objective", f"expected mean_error or st, got '{raw}'")
-        return replace(cfg, sweep_objective=raw)
-    if key == "sweep.seeds":
-        return replace(cfg, sweep_seeds=_parse_int_list(raw, key))
-    if key.startswith("sweep.grid."):
-        grid = dict(cfg.sweep_grid)
-        try:
-            values = tuple(float(chunk) for chunk in raw.split(";") if chunk.strip())
-        except ValueError:
-            raise ConfigError(key, f"expected ';'-separated numbers, got '{raw}'") from None
-        grid[key[len("sweep.grid."):]] = values
-        return replace(cfg, sweep_grid=grid)
-    raise ConfigError(key, "unknown configuration key")
+    grid_key = key[len(GRID_PREFIX):] if key.startswith(GRID_PREFIX) else None
+    spec = PROTOCOL_KEYS.get(grid_key) if grid_key else RUN_KEYS.get(key, PROTOCOL_KEYS.get(key))
+    if spec is None:
+        raise ConfigError(key, "not a protocol key" if grid_key else "unknown configuration key")
+    try:
+        if grid_key:
+            value = tuple(spec.parse(chunk.strip()) for chunk in raw.split(";") if chunk.strip())
+            if not value:
+                raise ValueError("expected ';'-separated values")
+        else:
+            value = spec.parse(raw)
+    except (ValueError, NotImplementedError) as exc:
+        raise ConfigError(key, str(exc)) from None
+    if grid_key:
+        return replace(cfg, sweep_grid={**cfg.sweep_grid, grid_key: value})
+    if key in RUN_KEYS:
+        return replace(cfg, **{spec.path: value})
+    return replace(cfg, settings={**cfg.settings, key: value})
 
 
 def load_config_file(cfg: RunConfig, path: str) -> RunConfig:
@@ -322,25 +193,24 @@ def _prepare_out(cfg: RunConfig) -> str:
     return cfg.out
 
 
-def _write_echo(cfg: RunConfig):
+def _write_echo(cfg: RunConfig, protocol: ProtocolConfig):
     path = os.path.join(cfg.out, "config.echo")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(cfg.echo_lines()) + "\n")
+        fh.write("\n".join(echo_lines(cfg, protocol)) + "\n")
 
 
-def _load_scenario(cfg: RunConfig) -> Scenario:
+def _load_scenario(cfg: RunConfig, protocol: ProtocolConfig) -> Scenario:
     if cfg.input:
         if not os.path.exists(cfg.input):
             raise IOError(f"input file '{cfg.input}' does not exist")
         try:
             return parse_trajectories(cfg.input, fmt=cfg.fmt)
-        except (MalformedRow, NonMonotoneFrames, EmptyFile) as exc:
+        except ValueError as exc:
             raise IOError(f"cannot parse '{cfg.input}': {exc}")
     if cfg.kind:
         try:
             return make_scenario(cfg.kind, cfg.agents, cfg.seed, steps=cfg.steps,
-                                 dt=cfg.rvo_dt,
-                                 body=BodySpec(cfg.body_radius, cfg.body_max_speed))
+                                 dt=protocol.params.dt, body=protocol.body)
         except ValueError as exc:
             raise ConfigError("kind", str(exc)) from None
     raise ConfigError("input", "either an input file or a scenario kind is required")
@@ -355,13 +225,13 @@ def _trace_for(cfg: RunConfig, scenario: Scenario):
     return None
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, protocol: ProtocolConfig) -> int:
     if not cfg.kind:
         raise ConfigError("kind", "simulate requires a scenario kind")
-    scenario = _load_scenario(cfg)
+    scenario = _load_scenario(cfg, protocol)
     _prepare_out(cfg)
     write_trajectories(scenario, os.path.join(cfg.out, "trajectories.csv"))
-    _write_echo(cfg)
+    _write_echo(cfg, protocol)
     sep = min_pairwise_separation(scenario)
     print(f"wrote {os.path.join(cfg.out, 'trajectories.csv')} "
           f"({scenario.n_frames} frames, {len(scenario.agent_ids)} agents, "
@@ -369,39 +239,39 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_predict(cfg: RunConfig) -> int:
-    scenario = _load_scenario(cfg)
+def cmd_predict(cfg: RunConfig, protocol: ProtocolConfig) -> int:
+    scenario = _load_scenario(cfg, protocol)
     trace = _trace_for(cfg, scenario)
     _prepare_out(cfg)
     report = run_prediction_protocol(scenario, cfg.model, cfg.filter_kind,
-                                     cfg.protocol_config(), seed=cfg.seed, trace=trace)
+                                     protocol, seed=cfg.seed, trace=trace)
     report.to_csv(os.path.join(cfg.out, "report.csv"))
-    _write_echo(cfg)
+    _write_echo(cfg, protocol)
     print(report.format_table())
     return EXIT_OK
 
 
-def cmd_track(cfg: RunConfig) -> int:
-    scenario = _load_scenario(cfg)
+def cmd_track(cfg: RunConfig, protocol: ProtocolConfig) -> int:
+    scenario = _load_scenario(cfg, protocol)
     trace = _trace_for(cfg, scenario)
     if trace is None:
         trace = corrupt(scenario, 0.0, (), seed=cfg.seed)
     _prepare_out(cfg)
     report = run_tracking_protocol(scenario, trace, cfg.model, cfg.filter_kind,
-                                   cfg.protocol_config(), seed=cfg.seed)
+                                   protocol, seed=cfg.seed)
     report.to_csv(os.path.join(cfg.out, "report.csv"))
-    _write_echo(cfg)
+    _write_echo(cfg, protocol)
     print(report.format_table())
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig, protocol: ProtocolConfig) -> int:
     if not cfg.sweep_grid:
         raise ConfigError("sweep.grid", "sweep requires at least one sweep.grid.<key> entry")
     scenarios = []
     traces = []
     for seed in cfg.sweep_seeds:
-        scenario = _load_scenario(replace(cfg, seed=seed)) if cfg.kind else _load_scenario(cfg)
+        scenario = _load_scenario(replace(cfg, seed=seed) if cfg.kind else cfg, protocol)
         scenarios.append(scenario)
         trace = _trace_for(replace(cfg, seed=seed), scenario)
         traces.append(trace)
@@ -412,12 +282,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep_objective == "st" and traces is None:
         raise ConfigError("sweep.objective", "objective 'st' requires obs.noise or occlusions")
     _prepare_out(cfg)
-    result = sweep(dict(cfg.sweep_grid), scenarios, cfg.sweep_objective,
-                   cfg.protocol_config(), model=cfg.model,
-                   filter_kind=cfg.filter_kind, seed=cfg.seed, traces=traces)
+    result = sweep(cfg.sweep_grid, scenarios, cfg.sweep_objective, protocol,
+                   model=cfg.model, filter_kind=cfg.filter_kind, seed=cfg.seed,
+                   traces=traces)
     table_path = os.path.join(cfg.out, "report.csv")
     result.to_csv(table_path)
-    _write_echo(cfg)
+    _write_echo(cfg, protocol)
     best = " ".join(f"{k}={v}" for k, v in sorted(result.best.items()))
     print(f"best: {best} (objective {result.best_score:.6f})")
     print(table_path)
@@ -460,8 +330,7 @@ def main(argv=None) -> int:
         if args.config:
             cfg = load_config_file(cfg, args.config)
         cfg = _merge_flags(cfg, args)
-        cfg.hpf_config()  # validate before running
-        return args.func(cfg)
+        return args.func(cfg, configure(ProtocolConfig(), cfg.settings))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -184,7 +184,11 @@ def _parse_csv_fixy(text: str, name: str) -> Scenario:
             frames.append(Frame(frame_idx, [(agent_id, np.array([x, y]))]))
     # Re-validate per-frame id uniqueness after grouping.
     frames = [Frame(f.time_index, f.entries) for f in frames]
-    dt = float(meta.pop("dt", 0.4))
+    raw_dt = meta.pop("dt", "0.4")
+    try:
+        dt = float(raw_dt)
+    except ValueError:
+        raise ValueError(f"dt must be a number, got '{raw_dt}'") from None
     name = meta.pop("name", name)
     return Scenario(dt=dt, frames=frames, name=name, meta=meta)
 

@@ -93,16 +93,11 @@ class ParticleSet:
 
 @dataclass(frozen=True)
 class HpfConfig:
-    """Mixture order K, mixture weights pi (sum to 1) and particle count M.
-
-    ``top_m_selection`` swaps the resampling of the pooled set for a
-    deterministic pick of the M heaviest particles (ablation switch).
-    """
+    """Mixture order K, mixture weights pi (sum to 1) and particle count M."""
 
     order_k: int = 2
     pi: Tuple[float, ...] = (0.91, 0.09)
     particles_m: int = 400
-    top_m_selection: bool = False
 
     def __post_init__(self):
         if self.order_k < 1:
@@ -112,8 +107,8 @@ class HpfConfig:
         if len(self.pi) != self.order_k:
             raise ValueError("pi must have exactly order_k entries")
         pi = np.asarray(self.pi, dtype=np.float64)
-        if np.any(pi < 0.0):
-            raise ValueError("pi entries must be >= 0")
+        if not np.all(np.isfinite(pi) & (pi >= 0.0)):
+            raise ValueError("pi entries must be finite and >= 0")
         if abs(float(pi.sum()) - 1.0) > 1e-9:
             raise ValueError("pi must sum to 1")
 
@@ -287,14 +282,7 @@ def hpf_step(history: FilterHistory, ctx: CrowdContext, obs, obs_model: Observat
         history, ctx, obs, obs_model, cfg, model, noise, dt, rng)
     timestamp = history.posterior(1).timestamp + 1
     pooled = ParticleSet(pooled_states, pooled_weights, timestamp, flagged)
-    m = cfg.particles_m
-    if cfg.top_m_selection:
-        order = np.argsort(-pooled_weights, kind="stable")[:m]
-        posterior = ParticleSet(pooled_states[order].copy(), np.full(m, 1.0 / m),
-                                timestamp, flagged)
-    else:
-        posterior = resample(pooled, m, rng)
-    return posterior, lambdas
+    return resample(pooled, cfg.particles_m, rng), lambdas
 
 
 def pf_step(prior: ParticleSet, ctx: CrowdContext, obs, obs_model: ObservationModel,

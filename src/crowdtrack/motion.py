@@ -66,21 +66,23 @@ class BodySpec:
     max_speed: float = 2.5
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and self.max_speed > 0.0):
-            raise ValueError("radius and max_speed must be > 0")
+        for name in ("radius", "max_speed"):
+            if not (getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-block transition noise (standard deviations, all >= 0)."""
+    """Per-block transition noise (standard deviations, all finite and >= 0)."""
 
     sigma_position: float = 0.05
     sigma_velocity: float = 0.1
     sigma_desired: float = 0.05
 
     def __post_init__(self):
-        if min(self.sigma_position, self.sigma_velocity, self.sigma_desired) < 0.0:
-            raise ValueError("noise standard deviations must be >= 0")
+        for name in ("sigma_position", "sigma_velocity", "sigma_desired"):
+            if not (0.0 <= getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and >= 0")
 
     def block_scales(self) -> np.ndarray:
         """Length-6 vector of per-coordinate standard deviations."""

@@ -165,3 +165,80 @@ class TestSweep:
         echo = (out1 / "config.echo").read_text()
         assert "seed = 9" in echo
         assert "kind = head_on" in echo
+
+    LIN_SWEEP = ["sweep", "--kind", "corridor", "--agents", 1, "--model", "lin",
+                 "--filter", "pf", "--set", "hpf.k=1", "--set", "hpf.pi=1.0",
+                 "--set", "hpf.m=20"]
+
+    def test_integer_grid_key_reports_integer_rows(self, tmp_path):
+        out = tmp_path / "m"
+        assert run(self.LIN_SWEEP + ["--set", "sweep.grid.hpf.m=30;40", "--out", out]) == 0
+        lines = (out / "report.csv").read_text().splitlines()
+        assert lines[0] == "hpf.m,objective"
+        assert [line.split(",")[0] for line in lines[1:]] == ["30", "40"]
+
+    def test_bench_key_in_grid_runs(self, tmp_path):
+        out = tmp_path / "thr"
+        assert run(self.LIN_SWEEP + ["--set", "sweep.grid.bench.threshold=0.4;0.5",
+                                     "--out", out]) == 0
+        assert len((out / "report.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("key", ["nope", "obs.noise"])
+    def test_grid_takes_protocol_keys_only(self, tmp_path, capsys, key):
+        setting = f"sweep.grid.{key}=0.1;0.2"
+        assert run(self.LIN_SWEEP + ["--set", setting, "--out", tmp_path / "x"]) == 2
+        assert f"'sweep.grid.{key}'" in capsys.readouterr().err
+
+
+TRACK = ["track", "--kind", "corridor", "--agents", 2, "--seed", 5, "--steps", 20,
+         "--obs-noise", 0.3, "--set", "hpf.m=30"]
+PREDICT = ["predict", "--kind", "crossing", "--agents", 2, "--seed", 2, "--set", "hpf.m=30"]
+DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
+
+
+@pytest.mark.parametrize("argv, code, key", [
+    (TRACK + ["--set", "obs.sigma=0"], 2, "obs.sigma"),
+    (TRACK + ["--set", "obs.sigma=inf"], 2, "obs.sigma"),
+    (TRACK + ["--set", "noise.sigma_velocity=nan"], 2, "noise.sigma_velocity"),
+    (TRACK + ["--set", "bench.start_stride=0"], 2, "bench.start_stride"),
+    (TRACK + ["--set", "bench.learn_steps=-3"], 2, "bench.learn_steps"),
+    (TRACK + ["--set", "bench.threshold=nan"], 2, "bench.threshold"),
+    (TRACK + ["--set", "bench.track_steps=-1"], 2, "bench.track_steps"),
+    (TRACK + ["--set", "hpf.pi=nan,nan"], 2, "hpf.pi"),
+    (TRACK + ["--set", "hpf.m=0"], 2, "hpf.m"),
+    (TRACK + ["--set", "rvo.dt=-1"], 2, "rvo.dt"),
+    (PREDICT + ["--set", "bench.prediction_horizons=0"], 2, "bench.prediction_horizons"),
+    (PREDICT + ["--set", "bench.prediction_horizons=31"], 2, "bench.prediction_horizons"),
+    (["predict", "--input", "dt_abc.csv"], 4, "dt"),
+    (["predict", "--input", "dt_zero.csv"], 4, "dt"),
+], ids=lambda v: v[-1] if isinstance(v, list) else None)
+def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, argv, code, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dt_abc.csv").write_text("# dt = abc\n" + DT_ROWS)
+    (tmp_path / "dt_zero.csv").write_text("# dt = 0\n" + DT_ROWS)
+    assert run(argv + ["--out", tmp_path / "x"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert (f"'{key}'" if code == 2 else f"{key} must") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "head_on", "--agents", 2, "--seed", 7],
+    PREDICT + ["--obs-noise", 0.1],
+    TRACK + ["--occlusions", "0:5:2"],
+    TestSweep.LIN_SWEEP + ["--set", "sweep.grid.noise.sigma_velocity=0.2;0.0"],
+], ids=lambda argv: argv[0])
+def test_config_echo_reproduces_run(tmp_path, argv):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(argv + ["--out", first]) == 0
+    assert run([argv[0], "--config", first / "config.echo", "--out", second]) == 0
+
+    def echo(out):
+        return [line for line in (out / "config.echo").read_text().splitlines()
+                if not line.startswith("out = ")]
+
+    assert echo(first) == echo(second)
+    outputs = [name for name in ("report.csv", "trajectories.csv") if (first / name).exists()]
+    assert outputs
+    for name in outputs:
+        assert (first / name).read_bytes() == (second / name).read_bytes()

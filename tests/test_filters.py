@@ -420,14 +420,3 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             HpfConfig(order_k=2, pi=(1.5, -0.5), particles_m=10)
 
-    def test_top_m_selection_keeps_heaviest(self):
-        rng = np.random.default_rng(25)
-        m = 20
-        history = FilterHistory(1)
-        history.push(cloud(rng, m), empty_ctx())
-        cfg = HpfConfig(order_k=1, pi=(1.0,), particles_m=m, top_m_selection=True)
-        out, _ = hpf_step(history, empty_ctx(), np.array([0.4, 0.0]),
-                          GaussianPositionLikelihood(0.1), cfg, "lin",
-                          NoiseSpec(), DT, rng)
-        assert out.size == m
-        assert np.allclose(out.weights, 1.0 / m)
