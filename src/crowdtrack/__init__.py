@@ -4,10 +4,8 @@ from .accel import NUMBA_ENABLED
 from .rvo import (AgentBody, HalfPlane, OverlappingAgents, RvoParams,
                   VelocitySolution, advance, compute_u, permitted_halfplane,
                   rvo_step, solve_velocity, step_all, vo_contains)
-from .motion import (AgentState, BodySpec, CrowdContext, DegenerateNoise,
-                     NoiseSpec, predict_mean, resolve_model, sample_transition,
-                     transition_density)
-from .filters import (FilterHistory, HpfConfig, InsufficientHistory, Particle,
+from .motion import AgentState, BodySpec, CrowdContext, NoiseSpec, resolve_model
+from .filters import (FilterHistory, HpfConfig, InsufficientHistory,
                       ParticleSet, hpf_predict_j, hpf_step, pf_step,
                       posterior_mean, resample)
 from .data import (Frame, ObservationTrace, Scenario, corrupt,

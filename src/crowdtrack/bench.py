@@ -21,10 +21,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import ObservationTrace, Scenario
-from .filters import (FilterHistory, HpfConfig, ParticleSet, hpf_step,
-                      init_particles, posterior_mean)
-from .motion import (AgentState, BodySpec, CrowdContext, NoiseSpec,
-                     predict_mean, resolve_model)
+from .filters import FilterHistory, HpfConfig, ParticleSet, hpf_step, init_particles
+from .motion import BodySpec, CrowdContext, NoiseSpec, predict_mean_batch, resolve_model
 from .rvo import RvoParams
 
 #: Distance rule for track outcomes (meters).
@@ -183,7 +181,8 @@ class JointTracker:
 
     Every agent's particles interact with the *previous* frame's posterior
     means of the other agents; new means are published only after all agents
-    finished the frame.
+    finished the frame.  ``means`` holds them as one (agents, 6) array of
+    state rows in ``ids`` order.
     """
 
     def __init__(self, init_fixes: Dict[int, Tuple[np.ndarray, np.ndarray]],
@@ -203,53 +202,43 @@ class JointTracker:
         self.body = body
         self.rng = rng
         self.ids = sorted(init_fixes)
-        self.histories: Dict[int, FilterHistory] = {}
-        self.means: Dict[int, AgentState] = {}
-        self.lambdas: Dict[int, np.ndarray] = {}
+        self.histories = [FilterHistory(cfg.order_k) for _ in self.ids]
+        self.lambdas: Dict[int, np.ndarray] = {agent_id: np.ones(1) for agent_id in self.ids}
         self.flagged_steps = 0
         pos_spread, vel_spread = init_spread if init_spread else (None, None)
+        sets = [init_particles(*init_fixes[agent_id], cfg.particles_m, self.noise, rng,
+                               timestamp, position_spread=pos_spread,
+                               velocity_spread=vel_spread)
+                for agent_id in self.ids]
+        self._publish(sets)
 
-        sets = {}
-        for agent_id in self.ids:
-            position, velocity = init_fixes[agent_id]
-            pset = init_particles(position, velocity, cfg.particles_m, self.noise,
-                                  rng, timestamp, position_spread=pos_spread,
-                                  velocity_spread=vel_spread)
-            sets[agent_id] = pset
-            self.means[agent_id] = posterior_mean(pset)
-            self.lambdas[agent_id] = np.ones(1)
-        for agent_id in self.ids:
-            history = FilterHistory(cfg.order_k)
-            history.push(sets[agent_id], self._context_for(agent_id))
-            self.histories[agent_id] = history
+    def _publish(self, sets: Sequence[ParticleSet]):
+        """Publish the sets' means; push each set with the other agents' means beside it."""
+        self.means = np.array([pset.weights @ pset.states for pset in sets])
+        for i, pset in enumerate(sets):
+            self.histories[i].push(pset, self._context(self.means, i))
 
-    def _context_for(self, agent_id: int) -> CrowdContext:
-        others = [(other, self.means[other]) for other in self.ids if other != agent_id]
-        return CrowdContext(others=others, params=self.params, self_body=self.body)
+    def _context(self, means: np.ndarray, i: int) -> CrowdContext:
+        return CrowdContext(np.delete(means, i, axis=0), self.params, self.body)
 
     def step(self, observations: Dict[int, Optional[np.ndarray]], obs_model):
         """Advance every agent one frame.
 
         ``observations`` maps agent id to a position or None (occluded).
         """
-        contexts = {agent_id: self._context_for(agent_id) for agent_id in self.ids}
-        new_sets: Dict[int, ParticleSet] = {}
-        for agent_id in self.ids:
+        new_sets = []
+        for agent_id, history in zip(self.ids, self.histories):
             posterior, lambdas = hpf_step(
-                self.histories[agent_id], contexts[agent_id],
-                observations.get(agent_id), obs_model, self.cfg, self.model,
-                self.noise, self.params.dt, self.rng)
-            new_sets[agent_id] = posterior
+                history, history.context(1), observations.get(agent_id), obs_model,
+                self.cfg, self.model, self.noise, self.params.dt, self.rng)
+            new_sets.append(posterior)
             if posterior.flagged:
                 self.flagged_steps += 1
             self.lambdas[agent_id] = np.asarray(lambdas)
-        for agent_id in self.ids:
-            self.means[agent_id] = posterior_mean(new_sets[agent_id])
-        for agent_id in self.ids:
-            self.histories[agent_id].push(new_sets[agent_id], self._context_for(agent_id))
+        self._publish(new_sets)
 
     def mean_position(self, agent_id: int) -> np.ndarray:
-        return self.means[agent_id].position
+        return self.means[self.ids.index(agent_id), 0:2]
 
     def rollout_means(self, steps: int):
         """Open-loop extrapolation of the published means, no observations.
@@ -259,17 +248,14 @@ class JointTracker:
         frozen-weight mixture mean carried forward.  Yields, per step, a dict
         of agent id to predicted position.  The filter state is not touched.
         """
-        current = dict(self.means)
+        current = self.means
         out = []
         for _ in range(steps):
-            new_states = {}
-            for agent_id in self.ids:
-                others = [(other, current[other]) for other in self.ids if other != agent_id]
-                ctx = CrowdContext(others=others, params=self.params, self_body=self.body)
-                new_states[agent_id] = predict_mean(self.model, current[agent_id],
-                                                    ctx, self.params.dt)
-            current = new_states
-            out.append({agent_id: state.position for agent_id, state in current.items()})
+            current = np.array([
+                predict_mean_batch(self.model, current[i:i + 1], self._context(current, i),
+                                   self.params.dt)[0]
+                for i in range(len(self.ids))])
+            out.append({agent_id: current[i, 0:2] for i, agent_id in enumerate(self.ids)})
         return out
 
 

@@ -82,6 +82,13 @@ def _parse_seed(raw: str) -> int:
     return seed
 
 
+def _parse_obs_noise(raw: str) -> float:
+    sigma = parse_float(raw)
+    if not (0.0 <= sigma < float("inf")):
+        raise ValueError("must be finite and >= 0")
+    return sigma
+
+
 def _parse_occlusions(raw: str) -> Tuple[Tuple[int, int, int], ...]:
     windows = []
     for chunk in raw.split(";") if raw else ():
@@ -106,7 +113,7 @@ RUN_KEYS: Dict[str, Key] = {
     "input": Key("input", _optional(str), _blank),
     "format": Key("fmt", _choice("csv-fixy", "obsmat"), str),
     "out": Key("out", str, str),
-    "obs.noise": Key("obs_noise", parse_float),
+    "obs.noise": Key("obs_noise", _parse_obs_noise),
     "occlusions": Key("occlusions", _parse_occlusions,
                       lambda windows: ";".join(f"{a}:{s}:{l}" for a, s, l in windows)),
     "sweep.objective": Key("sweep_objective", _choice("mean_error", "st"), str),

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .motion import BodySpec
-from .rvo import AgentBody, RvoParams, rvo_step, advance
+from .rvo import AgentBody, RvoParams, step_all
 
 
 class MalformedRow(ValueError):
@@ -84,14 +84,6 @@ class Scenario:
         for f in self.frames:
             ids.update(f.ids)
         return sorted(ids)
-
-    def bounds(self) -> Tuple[float, float, float, float]:
-        """(xmin, ymin, xmax, ymax) over every recorded position."""
-        pts = np.array([pos for f in self.frames for _, pos in f.entries])
-        if pts.size == 0:
-            return (0.0, 0.0, 0.0, 0.0)
-        return (float(pts[:, 0].min()), float(pts[:, 1].min()),
-                float(pts[:, 0].max()), float(pts[:, 1].max()))
 
     def positions_by_agent(self) -> Dict[int, Dict[int, np.ndarray]]:
         """agent id -> {frame position in self.frames order -> position}."""
@@ -334,8 +326,7 @@ def simulate_goal_driven(starts, goals, steps: int, dt: float,
             else:
                 desires = [_goal_desired_velocity(agent.position, goal, pref_speed, sim_dt)
                            for agent, goal in zip(agents, goals)]
-            velocities = [rvo_step(i, agents, desires[i], params) for i in range(len(agents))]
-            agents = [advance(agent, v, sim_dt) for agent, v in zip(agents, velocities)]
+            agents = step_all(agents, desires, params)
         for i, agent in enumerate(agents):
             out[t + 1, i] = agent.position
     return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, Tuple
+from typing import Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -34,14 +34,6 @@ class ObservationModel(Protocol):
     def log_likelihood(self, obs, states: np.ndarray) -> np.ndarray:
         """Return per-particle log-likelihoods; must be finite for finite inputs."""
         ...
-
-
-@dataclass(frozen=True)
-class Particle:
-    """One weighted state sample."""
-
-    state: AgentState
-    weight: float
 
 
 @dataclass
@@ -79,16 +71,6 @@ class ParticleSet:
         if total <= 0.0:
             raise ValueError("cannot normalize zero total weight")
         return ParticleSet(self.states, self.weights / total, self.timestamp, self.flagged)
-
-    def particles(self):
-        return [Particle(AgentState.from_array(self.states[i]), float(self.weights[i]))
-                for i in range(self.size)]
-
-    @staticmethod
-    def from_particles(particles: Sequence[Particle], timestamp: int = 0) -> "ParticleSet":
-        states = np.stack([p.state.to_array() for p in particles])
-        weights = np.array([p.weight for p in particles])
-        return ParticleSet(states, weights, timestamp)
 
 
 @dataclass(frozen=True)
@@ -164,7 +146,7 @@ def _normalize_log(a: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def resample(pooled, m: int, rng: np.random.Generator) -> ParticleSet:
+def resample(pooled: ParticleSet, m: int, rng: np.random.Generator) -> ParticleSet:
     """Systematic resampling of a (possibly pooled) weighted set down to m particles.
 
     With uniform input weights over m particles this returns exactly one copy
@@ -172,8 +154,6 @@ def resample(pooled, m: int, rng: np.random.Generator) -> ParticleSet:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not isinstance(pooled, ParticleSet):
-        pooled = ParticleSet.from_particles(pooled)
     total = float(pooled.weights.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"pooled weights must sum to 1, got {total}")

@@ -1,18 +1,19 @@
 """One-step motion models for the per-agent filters.
 
-A pedestrian state is [position, velocity, desired_velocity], each a
-2-vector.  The ``rvo`` model predicts the next velocity with reciprocal
-collision avoidance against the other agents' published mean states and
-keeps the desired velocity as the mean of its diffusion; the ``lin``
-baseline extrapolates the current velocity.  Gaussian noise with
+A pedestrian state is a row [px, py, vx, vy, des_x, des_y]: position,
+velocity and desired velocity, each a 2-vector.  The ``rvo`` model
+predicts the next velocity with reciprocal collision avoidance against the
+other agents' published mean states, which a `CrowdContext` holds as such
+rows, and keeps the desired velocity as the mean of its diffusion; the
+``lin`` baseline extrapolates the current velocity.  Gaussian noise with
 per-block standard deviations turns the mean prediction into a transition
-density.
+density, which `sample_transition_batch` samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -28,10 +29,6 @@ STATE_DIM = 6
 MODELS = ("lin", "rvo")
 #: Interface-compatible model ids that ship unimplemented on purpose.
 UNAVAILABLE_MODELS = ("lta", "attr", "attrg")
-
-
-class DegenerateNoise(ValueError):
-    """Transition density requested with a zero standard deviation."""
 
 
 @dataclass(frozen=True)
@@ -96,34 +93,30 @@ class NoiseSpec:
 class CrowdContext:
     """Snapshot of the *other* agents at one reference time.
 
-    ``others`` holds (agent id, mean state) pairs; ids must be unique.  The
-    snapshot is frozen for a whole filter step so that all agents update
-    simultaneously from the same published means.  Treat instances as
-    immutable.
+    ``others`` holds the neighbours' mean states as rows of shape (n, 6)
+    and ``radii`` their disc radii, by default ``BodySpec().radius`` each.
+    The snapshot is frozen for a whole filter step so that all agents
+    update simultaneously from the same published means.  Treat instances
+    as immutable.
     """
 
-    def __init__(self, others: Sequence[Tuple[int, AgentState]] = (),
-                 params: RvoParams = RvoParams(),
-                 self_body: BodySpec = BodySpec(),
-                 bodies: Optional[Mapping[int, BodySpec]] = None):
-        ids = [agent_id for agent_id, _ in others]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate agent ids in context")
-        self.others = tuple((agent_id, state) for agent_id, state in others)
+    def __init__(self, others=(), params: RvoParams = RvoParams(),
+                 self_body: BodySpec = BodySpec(), radii=None):
+        others = np.asarray(others, dtype=np.float64)
+        if others.size == 0:
+            others = others.reshape(0, STATE_DIM)
+        if others.ndim != 2 or others.shape[1] != STATE_DIM:
+            raise ValueError(f"others must have shape (n, {STATE_DIM})")
+        n = others.shape[0]
         self.params = params
         self.self_body = self_body
-        self.bodies = dict(bodies) if bodies else {}
-        n = len(self.others)
-        self.neighbor_positions = np.empty((n, 2))
-        self.neighbor_velocities = np.empty((n, 2))
-        self.neighbor_radii = np.empty(n)
-        for i, (agent_id, state) in enumerate(self.others):
-            self.neighbor_positions[i] = state.position
-            self.neighbor_velocities[i] = state.velocity
-            self.neighbor_radii[i] = self.body_of(agent_id).radius
-
-    def body_of(self, agent_id: int) -> BodySpec:
-        return self.bodies.get(agent_id, BodySpec())
+        self.neighbor_positions = others[:, 0:2].copy()
+        self.neighbor_velocities = others[:, 2:4].copy()
+        if radii is None:
+            radii = np.full(n, BodySpec().radius)
+        self.neighbor_radii = np.array(radii, dtype=np.float64)
+        if self.neighbor_radii.shape != (n,):
+            raise ValueError("radii must hold one radius per neighbour")
 
 
 def resolve_model(name: str) -> Tuple[str, bool]:
@@ -170,12 +163,6 @@ def predict_mean_batch(model: str, states: np.ndarray, ctx: CrowdContext, dt: fl
     return out
 
 
-def predict_mean(model: str, state: AgentState, ctx: CrowdContext, dt: float) -> AgentState:
-    """Noise-free one-step prediction of a single state."""
-    batch = predict_mean_batch(model, state.to_array()[None, :], ctx, dt)
-    return AgentState.from_array(batch[0])
-
-
 def _clamp_speeds(states: np.ndarray, cap: float):
     for sl in (slice(2, 4), slice(4, 6)):
         block = states[:, sl]
@@ -198,28 +185,3 @@ def sample_transition_batch(model: str, states: np.ndarray, ctx: CrowdContext,
     out = means + eps * noise.block_scales()
     _clamp_speeds(out, speed_cap)
     return out
-
-
-def sample_transition(model: str, state: AgentState, ctx: CrowdContext,
-                      noise: NoiseSpec, dt: float, rng: np.random.Generator,
-                      speed_cap: float = SPEED_CAP) -> AgentState:
-    arr = sample_transition_batch(model, state.to_array()[None, :], ctx, noise, dt, rng, speed_cap)
-    return AgentState.from_array(arr[0])
-
-
-def transition_log_density_batch(model: str, nexts: np.ndarray, state: AgentState,
-                                 ctx: CrowdContext, noise: NoiseSpec, dt: float) -> np.ndarray:
-    """Log density of candidate next states (N, 6) under the diagonal Gaussian transition."""
-    scales = noise.block_scales()
-    if np.any(scales == 0.0):
-        raise DegenerateNoise("all noise standard deviations must be > 0 to evaluate the density")
-    mean = predict_mean_batch(model, state.to_array()[None, :], ctx, dt)[0]
-    nexts = np.asarray(nexts, dtype=np.float64)
-    z = (nexts - mean) / scales
-    return -0.5 * np.sum(z * z, axis=1) - np.sum(np.log(scales)) - 0.5 * STATE_DIM * np.log(2.0 * np.pi)
-
-
-def transition_density(model: str, next_state: AgentState, state: AgentState,
-                       ctx: CrowdContext, noise: NoiseSpec, dt: float) -> float:
-    """Log transition density of one candidate next state."""
-    return float(transition_log_density_batch(model, next_state.to_array()[None, :], state, ctx, noise, dt)[0])

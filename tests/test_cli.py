@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdtrack import parse_trajectories
-from crowdtrack.bench import min_pairwise_separation
-from crowdtrack.cli import main
+from crowdtrack.bench import (PROTOCOL_KEYS, ConfigError, ProtocolConfig, configure,
+                              min_pairwise_separation)
+from crowdtrack.cli import GRID_PREFIX, RUN_KEYS, RunConfig, apply_setting, main
 
 
 def run(args):
@@ -207,6 +210,9 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (TRACK + ["--set", "hpf.pi=nan,nan"], 2, "hpf.pi"),
     (TRACK + ["--set", "hpf.m=0"], 2, "hpf.m"),
     (TRACK + ["--set", "rvo.dt=-1"], 2, "rvo.dt"),
+    (TRACK + ["--obs-noise", "-0.3"], 2, "obs.noise"),
+    (TRACK + ["--obs-noise", "nan"], 2, "obs.noise"),
+    (TRACK + ["--obs-noise", "inf"], 2, "obs.noise"),
     (PREDICT + ["--set", "bench.prediction_horizons=0"], 2, "bench.prediction_horizons"),
     (PREDICT + ["--set", "bench.prediction_horizons=31"], 2, "bench.prediction_horizons"),
     (["predict", "--input", "dt_abc.csv"], 4, "dt"),
@@ -220,6 +226,20 @@ def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert (f"'{key}'" if code == 2 else f"{key} must") in err
+
+
+SETTING_KEYS = sorted(RUN_KEYS) + sorted(PROTOCOL_KEYS) + [GRID_PREFIX + k for k in sorted(PROTOCOL_KEYS)]
+
+
+@settings(max_examples=3000, deadline=None)
+@given(key=st.sampled_from(SETTING_KEYS),
+       value=st.text() | st.floats().map(repr) | st.integers().map(str))
+def test_any_setting_is_applied_or_rejected_as_config_error(key, value):
+    try:
+        cfg = apply_setting(RunConfig(), key, value)
+        configure(ProtocolConfig(), cfg.settings)
+    except ConfigError:
+        pass
 
 
 @pytest.mark.parametrize("argv", [

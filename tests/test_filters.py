@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from crowdtrack import (AgentState, BodySpec, CrowdContext,
-                        GaussianPositionLikelihood, HpfConfig, NoiseSpec,
-                        Particle, ParticleSet, RvoParams, hpf_predict_j,
-                        hpf_step, pf_step, posterior_mean, resample)
+from crowdtrack import (AgentState, CrowdContext, GaussianPositionLikelihood,
+                        HpfConfig, NoiseSpec, ParticleSet, RvoParams,
+                        hpf_predict_j, hpf_step, pf_step, posterior_mean,
+                        resample)
 from crowdtrack.filters import (FilterHistory, InsufficientHistory,
                                 mixture_update)
 from crowdtrack.motion import sample_transition_batch
@@ -72,11 +72,6 @@ class TestResample:
         with pytest.raises(ValueError):
             resample(ParticleSet(states, np.array([0.5, 0.2, 0.2])), 3,
                      np.random.default_rng(0))
-
-    def test_accepts_particle_sequence(self):
-        particles = [Particle(AgentState([i, 0.0], [0, 0], [0, 0]), 1.0 / 3) for i in range(3)]
-        out = resample(particles, 3, np.random.default_rng(0))
-        assert out.size == 3
 
 
 class TestPosteriorMean:
@@ -196,11 +191,11 @@ class TestHpfPredictJ:
 
     def test_rvo_two_step_matches_manual_rollout(self):
         rng = np.random.default_rng(12)
-        other_then = AgentState([2.0, -2.0], [0.0, 1.0], [0.0, 1.0])
-        other_now = AgentState([2.0, -1.6], [0.0, 1.0], [0.0, 1.0])
+        other_then = [2.0, -2.0, 0.0, 1.0, 0.0, 1.0]
+        other_now = [2.0, -1.6, 0.0, 1.0, 0.0, 1.0]
         params = RvoParams(time_horizon_tau=2.0, dt=DT)
-        ctx_then = CrowdContext(others=[(1, other_then)], params=params)
-        ctx_now = CrowdContext(others=[(1, other_now)], params=params)
+        ctx_then = CrowdContext(others=[other_then], params=params)
+        ctx_now = CrowdContext(others=[other_now], params=params)
         prior = cloud(np.random.default_rng(13), 40)
         history = FilterHistory(2)
         history.push(prior, ctx_then)

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from crowdtrack import (AgentBody, AgentState, BodySpec, CrowdContext,
-                        DegenerateNoise, NoiseSpec, RvoParams, predict_mean,
-                        resolve_model, rvo_step, sample_transition,
-                        transition_density)
-from crowdtrack.motion import (sample_transition_batch,
-                               transition_log_density_batch)
+from crowdtrack import (AgentBody, BodySpec, CrowdContext, NoiseSpec,
+                        RvoParams, resolve_model, rvo_step)
+from crowdtrack.motion import predict_mean_batch, sample_transition_batch
 
 
 def state(p, v, d=None):
+    """State row [px, py, vx, vy, des_x, des_y]."""
     d = v if d is None else d
-    return AgentState(np.asarray(p, float), np.asarray(v, float), np.asarray(d, float))
+    return np.concatenate([np.asarray(p, float), np.asarray(v, float), np.asarray(d, float)])
+
+
+def predict(model, s, ctx):
+    return predict_mean_batch(model, s[None, :], ctx, 0.4)[0]
 
 
 def empty_ctx(**kw):
@@ -36,31 +38,31 @@ class TestResolveModel:
 
 class TestPredictMean:
     def test_lin_extrapolates(self):
-        out = predict_mean("lin", state([0, 0], [1, 0]), empty_ctx(), 0.4)
-        assert np.allclose(out.position, [0.4, 0.0])
-        assert np.allclose(out.velocity, [1.0, 0.0])
-        assert np.allclose(out.desired_velocity, [1.0, 0.0])
+        out = predict("lin", state([0, 0], [1, 0]), empty_ctx())
+        assert np.allclose(out[0:2], [0.4, 0.0])
+        assert np.allclose(out[2:4], [1.0, 0.0])
+        assert np.allclose(out[4:6], [1.0, 0.0])
 
     def test_rvo_without_neighbors_adopts_desired(self):
         s = state([0, 0], [0.2, 0.0], d=[1.0, 0.5])
-        out = predict_mean("rvo", s, empty_ctx(), 0.4)
-        assert np.allclose(out.velocity, [1.0, 0.5])
-        assert np.allclose(out.position, np.array([1.0, 0.5]) * 0.4)
-        assert np.allclose(out.desired_velocity, s.desired_velocity)
+        out = predict("rvo", s, empty_ctx())
+        assert np.allclose(out[2:4], [1.0, 0.5])
+        assert np.allclose(out[0:2], np.array([1.0, 0.5]) * 0.4)
+        assert np.allclose(out[4:6], s[4:6])
 
     def test_rvo_crossing_matches_direct_geometry_call(self):
         me = state([0, 0], [1.0, 0.0], d=[1.0, 0.0])
         other = state([2.0, -2.0], [0.0, 1.0])
         params = RvoParams(time_horizon_tau=2.0, dt=0.4)
         body = BodySpec(radius=0.3, max_speed=2.0)
-        ctx = CrowdContext(others=[(7, other)], params=params, self_body=body,
-                           bodies={7: body})
-        out = predict_mean("rvo", me, ctx, 0.4)
-        agents = [AgentBody(me.position, me.velocity, body.radius, body.max_speed),
-                  AgentBody(other.position, other.velocity, body.radius, body.max_speed)]
-        expect = rvo_step(0, agents, me.desired_velocity, params)
-        assert np.allclose(out.velocity, expect, atol=1e-12)
-        assert not np.allclose(out.velocity, me.desired_velocity)
+        ctx = CrowdContext(others=[other], params=params, self_body=body,
+                           radii=[body.radius])
+        out = predict("rvo", me, ctx)
+        agents = [AgentBody(me[0:2], me[2:4], body.radius, body.max_speed),
+                  AgentBody(other[0:2], other[2:4], body.radius, body.max_speed)]
+        expect = rvo_step(0, agents, me[4:6], params)
+        assert np.allclose(out[2:4], expect, atol=1e-12)
+        assert not np.allclose(out[2:4], me[4:6])
 
 
 class TestSampleTransition:
@@ -68,18 +70,17 @@ class TestSampleTransition:
         rng = np.random.default_rng(0)
         s = state([0.5, -1.0], [0.9, 0.2])
         noise = NoiseSpec(0.0, 0.0, 0.0)
-        out = sample_transition("lin", s, empty_ctx(), noise, 0.4, rng)
-        mean = predict_mean("lin", s, empty_ctx(), 0.4)
-        assert np.array_equal(out.to_array(), mean.to_array())
+        out = sample_transition_batch("lin", s[None, :], empty_ctx(), noise, 0.4, rng)[0]
+        assert np.array_equal(out, predict("lin", s, empty_ctx()))
 
     def test_noise_moments(self):
         rng = np.random.default_rng(1)
         noise = NoiseSpec(0.05, 0.1, 0.05)
         s = state([0.0, 0.0], [1.0, 0.0])
         n = 100000
-        states = np.tile(s.to_array(), (n, 1))
+        states = np.tile(s, (n, 1))
         out = sample_transition_batch("lin", states, empty_ctx(), noise, 0.4, rng)
-        mean = predict_mean("lin", s, empty_ctx(), 0.4).to_array()
+        mean = predict("lin", s, empty_ctx())
         scales = noise.block_scales()
         emp_mean = out.mean(axis=0)
         emp_std = out.std(axis=0)
@@ -87,83 +88,22 @@ class TestSampleTransition:
         assert np.all(np.abs(emp_std - scales) < 0.02 * scales)
 
     def test_fixed_seed_reproducible(self):
-        s = state([0, 0], [1, 0])
+        states = state([0, 0], [1, 0])[None, :]
         noise = NoiseSpec()
-        a = sample_transition("lin", s, empty_ctx(), noise, 0.4, np.random.default_rng(42))
-        b = sample_transition("lin", s, empty_ctx(), noise, 0.4, np.random.default_rng(42))
-        assert np.array_equal(a.to_array(), b.to_array())
+        a = sample_transition_batch("lin", states, empty_ctx(), noise, 0.4, np.random.default_rng(42))
+        b = sample_transition_batch("lin", states, empty_ctx(), noise, 0.4, np.random.default_rng(42))
+        assert np.array_equal(a, b)
 
     def test_speed_cap_enforced(self):
         rng = np.random.default_rng(2)
         s = state([0, 0], [2.5, 0])
         noise = NoiseSpec(0.0, 5.0, 5.0)
-        states = np.tile(s.to_array(), (2000, 1))
+        states = np.tile(s, (2000, 1))
         out = sample_transition_batch("lin", states, empty_ctx(), noise, 0.4, rng)
         speeds = np.linalg.norm(out[:, 2:4], axis=1)
         desired = np.linalg.norm(out[:, 4:6], axis=1)
         assert np.all(speeds <= 3.0 + 1e-12)
         assert np.all(desired <= 3.0 + 1e-12)
-
-
-class TestTransitionDensity:
-    def test_maximum_at_mean(self):
-        s = state([0, 0], [1, 0])
-        noise = NoiseSpec(0.05, 0.1, 0.05)
-        mean = predict_mean("lin", s, empty_ctx(), 0.4)
-        at_mean = transition_density("lin", mean, s, empty_ctx(), noise, 0.4)
-        const = -np.sum(np.log(noise.block_scales())) - 3.0 * np.log(2.0 * np.pi)
-        assert abs(at_mean - const) < 1e-12
-        shifted = AgentState(mean.position + 0.01, mean.velocity, mean.desired_velocity)
-        assert transition_density("lin", shifted, s, empty_ctx(), noise, 0.4) < at_mean
-
-    def test_symmetry_about_mean(self):
-        s = state([0.2, 0.1], [0.5, -0.3])
-        noise = NoiseSpec(0.05, 0.1, 0.05)
-        mean = predict_mean("lin", s, empty_ctx(), 0.4).to_array()
-        delta = np.array([0.01, -0.02, 0.03, 0.005, -0.01, 0.02])
-        up = transition_log_density_batch("lin", (mean + delta)[None, :], s, empty_ctx(), noise, 0.4)[0]
-        down = transition_log_density_batch("lin", (mean - delta)[None, :], s, empty_ctx(), noise, 0.4)[0]
-        assert abs(up - down) < 1e-12
-
-    def test_zero_sigma_rejected(self):
-        s = state([0, 0], [1, 0])
-        with pytest.raises(DegenerateNoise):
-            transition_density("lin", s, s, empty_ctx(), NoiseSpec(0.0, 0.1, 0.1), 0.4)
-
-    def test_integrates_to_one(self):
-        s = state([0, 0], [1, 0])
-        noise = NoiseSpec(0.05, 0.1, 0.05)
-        mean = predict_mean("lin", s, empty_ctx(), 0.4).to_array()
-        scales = noise.block_scales()
-        half = 4.0 * scales
-        volume = float(np.prod(2.0 * half))
-        rng = np.random.default_rng(3)
-        n = 4_000_000
-        pts = mean + rng.uniform(-1, 1, (n, 6)) * half
-        logp = transition_log_density_batch("lin", pts, s, empty_ctx(), noise, 0.4)
-        integral = volume * float(np.exp(logp).mean())
-        assert abs(integral - 1.0) < 0.02
-
-    def test_kde_consistency_with_sampler(self):
-        rng = np.random.default_rng(4)
-        noise = NoiseSpec(0.05, 0.1, 0.05)
-        s = state([0, 0], [1, 0])
-        n = 100000
-        states = np.tile(s.to_array(), (n, 1))
-        samples = sample_transition_batch("lin", states, empty_ctx(), noise, 0.4, rng)
-        mean = predict_mean("lin", s, empty_ctx(), 0.4).to_array()
-        scales = noise.block_scales()
-        # Per-coordinate Gaussian KDE; the joint factorizes for this model.
-        probe_rng = np.random.default_rng(5)
-        probes = mean + probe_rng.uniform(-1.5, 1.5, (20, 6)) * scales
-        h = 1.06 * scales * n ** (-1.0 / 5.0)
-        log_kde = np.zeros(20)
-        for d in range(6):
-            z = (probes[:, d][:, None] - samples[None, :, d]) / h[d]
-            dens = np.exp(-0.5 * z * z).sum(axis=1) / (n * h[d] * np.sqrt(2 * np.pi))
-            log_kde += np.log(dens)
-        log_true = transition_log_density_batch("lin", probes, s, empty_ctx(), noise, 0.4)
-        assert np.all(np.abs(np.exp(log_kde - log_true) - 1.0) < 0.10)
 
 
 class TestRvoDelegatedInvariant:
@@ -175,15 +115,15 @@ class TestRvoDelegatedInvariant:
         for _ in range(30):
             me = state(rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 2),
                        d=rng.uniform(-1, 1, 2))
-            other_pos = me.position + rng.uniform(1.0, 4.0) * _unit(rng)
+            other_pos = me[0:2] + rng.uniform(1.0, 4.0) * _unit(rng)
             other = state(other_pos, rng.uniform(-1, 1, 2))
-            ctx = CrowdContext(others=[(1, other)], params=params, self_body=body,
-                               bodies={1: body})
-            out = predict_mean("rvo", me, ctx, 0.4)
-            a = AgentBody(me.position, me.velocity, body.radius, body.max_speed)
-            b = AgentBody(other.position, other.velocity, body.radius, body.max_speed)
+            ctx = CrowdContext(others=[other], params=params, self_body=body,
+                               radii=[body.radius])
+            out = predict("rvo", me, ctx)
+            a = AgentBody(me[0:2], me[2:4], body.radius, body.max_speed)
+            b = AgentBody(other[0:2], other[2:4], body.radius, body.max_speed)
             hp = permitted_halfplane(a, b, params.time_horizon_tau)
-            assert hp.signed_margin(out.velocity) >= -1e-9
+            assert hp.signed_margin(out[2:4]) >= -1e-9
 
 
 def _unit(rng):
@@ -192,7 +132,12 @@ def _unit(rng):
 
 
 class TestContextValidation:
-    def test_duplicate_ids_rejected(self):
-        s = state([0, 0], [0, 0])
+    def test_rows_and_radii_shapes_checked(self):
+        ctx = CrowdContext(others=[state([1, 2], [3, 4]), state([5, 6], [7, 8])])
+        assert np.array_equal(ctx.neighbor_positions, [[1, 2], [5, 6]])
+        assert np.array_equal(ctx.neighbor_velocities, [[3, 4], [7, 8]])
+        assert np.array_equal(ctx.neighbor_radii, [0.2, 0.2])
         with pytest.raises(ValueError):
-            CrowdContext(others=[(1, s), (1, s)])
+            CrowdContext(others=np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            CrowdContext(others=np.zeros((2, 6)), radii=[0.3])
