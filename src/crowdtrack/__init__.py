@@ -1,6 +1,5 @@
 """Crowd motion model, per-agent particle filters and tracking benchmarks."""
 
-from .accel import NUMBA_ENABLED
 from .rvo import (AgentBody, HalfPlane, OverlappingAgents, RvoParams,
                   VelocitySolution, advance, compute_u, permitted_halfplane,
                   rvo_step, solve_velocity, step_all, vo_contains)

@@ -1,35 +1,3 @@
-"""Backend selection for the numeric kernels.
+"""The kernels in :mod:`crowdtrack.kernels` are plain numpy/Python; nothing is JIT-compiled."""
 
-The hot geometry kernels in :mod:`crowdtrack.kernels` are compiled with numba
-by default.  Setting the environment variable ``CROWDTRACK_DISABLE_NUMBA=1``
-before import selects the pure numpy/Python path instead (same code, no JIT),
-which is useful for debugging and as a fallback on platforms without numba.
-"""
-
-import os
-
-_FLAG = os.environ.get("CROWDTRACK_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _FLAG in ("1", "true", "yes", "on")
-
-if not _DISABLED:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _njit = None
-else:
-    _njit = None
-
-#: True when kernels are JIT-compiled.
-NUMBA_ENABLED = _njit is not None
-
-
-def jit(func):
-    """Compile a kernel with numba, or return it unchanged on the fallback path."""
-    if NUMBA_ENABLED:
-        return _njit(cache=True)(func)
-    return func
-
-
-def python_impl(kernel):
-    """Return the uncompiled Python implementation behind a kernel."""
-    return getattr(kernel, "py_func", kernel)
+NUMBA_ENABLED = False

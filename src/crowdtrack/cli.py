@@ -75,6 +75,15 @@ def _parse_model(raw: str) -> str:
     return raw
 
 
+def _at_least(low):
+    def parse(raw):
+        value = parse_int(raw)
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
+    return parse
+
+
 def _parse_seed(raw: str) -> int:
     seed = parse_int(raw)
     if not (0 <= seed < 2**64):
@@ -108,8 +117,8 @@ RUN_KEYS: Dict[str, Key] = {
     "filter": Key("filter_kind", _choice("pf", "hpf"), str),
     "seed": Key("seed", _parse_seed),
     "kind": Key("kind", _optional(str), _blank),
-    "agents": Key("agents", parse_int),
-    "steps": Key("steps", _optional(parse_int), _blank),
+    "agents": Key("agents", _at_least(1)),
+    "steps": Key("steps", _optional(_at_least(0)), _blank),
     "input": Key("input", _optional(str), _blank),
     "format": Key("fmt", _choice("csv-fixy", "obsmat"), str),
     "out": Key("out", str, str),

@@ -304,6 +304,8 @@ def simulate_goal_driven(starts, goals, steps: int, dt: float,
     re-aims every step and decays the speed near arrival so agents stop at
     their goals.
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     sim_dt = dt / substeps

@@ -1,8 +1,8 @@
 """Scalar geometry kernels for velocity-obstacle avoidance.
 
-Everything in this module operates on plain floats and float64 arrays so it
-can be JIT-compiled (see :mod:`crowdtrack.accel`).  The object-level API that
-validates inputs and raises domain errors lives in :mod:`crowdtrack.rvo`.
+Everything in this module operates on plain floats and float64 arrays.  The
+object-level API that validates inputs and raises domain errors lives in
+:mod:`crowdtrack.rvo`.
 
 Conventions
 -----------
@@ -17,13 +17,10 @@ Conventions
 
 import numpy as np
 
-from .accel import jit
-
 # Tolerance for parallel-direction determinants in the linear programs.
 _EPS = 1e-10
 
 
-@jit
 def vo_min_separation(rel_px, rel_py, tau, vx, vy):
     """Smallest distance of t*(vx, vy) from the relative position over t in (0, tau].
 
@@ -45,7 +42,6 @@ def vo_min_separation(rel_px, rel_py, tau, vx, vy):
     return np.sqrt(dx * dx + dy * dy)
 
 
-@jit
 def vo_closest_boundary(rel_px, rel_py, radius_sum, tau, vx, vy):
     """Project the relative velocity onto the truncated-cone boundary.
 
@@ -131,7 +127,6 @@ def vo_closest_boundary(rel_px, rel_py, radius_sum, tau, vx, vy):
     return bqx - vx, bqy - vy, bnx, bny
 
 
-@jit
 def overlap_shift(rel_px, rel_py, radius_sum, dt, vx, vy):
     """Emergency constraint when discs already intersect.
 
@@ -159,7 +154,6 @@ def overlap_shift(rel_px, rel_py, radius_sum, dt, vx, vy):
     return mag * wux, mag * wuy, wux, wuy
 
 
-@jit
 def lp1(points, normals, index, radius, opt_x, opt_y, direction_opt, res_x, res_y):
     """Optimum restricted to the boundary line of constraint `index`.
 
@@ -213,7 +207,6 @@ def lp1(points, normals, index, radius, opt_x, opt_y, direction_opt, res_x, res_
     return True, px + t * dx, py + t * dy
 
 
-@jit
 def lp2(points, normals, count, radius, opt_x, opt_y, direction_opt):
     """Incremental 2D program: closest point to the objective in the feasible set.
 
@@ -245,7 +238,6 @@ def lp2(points, normals, count, radius, opt_x, opt_y, direction_opt):
     return count, res_x, res_y
 
 
-@jit
 def lp3(points, normals, count, begin, radius, res_x, res_y):
     """Fallback program: minimize the largest violation depth.
 
@@ -296,7 +288,6 @@ def lp3(points, normals, count, begin, radius, res_x, res_y):
     return res_x, res_y
 
 
-@jit
 def solve_velocity_kernel(points, normals, count, max_speed, des_x, des_y):
     """Closest admissible velocity to the desired one.
 
@@ -310,7 +301,6 @@ def solve_velocity_kernel(points, normals, count, max_speed, des_x, des_y):
     return True, res_x, res_y
 
 
-@jit
 def build_halfplanes(px, py, vx, vy, radius, nbr_pos, nbr_vel, nbr_rad,
                      tau, dt, neighbor_radius, out_points, out_normals):
     """Fill one permitted-velocity half-plane per neighbor in range.
@@ -342,7 +332,6 @@ def build_halfplanes(px, py, vx, vy, radius, nbr_pos, nbr_vel, nbr_rad,
     return count
 
 
-@jit
 def rvo_velocity(px, py, vx, vy, des_x, des_y, radius, max_speed,
                  nbr_pos, nbr_vel, nbr_rad, tau, dt, neighbor_radius):
     """One collision-avoiding velocity choice for a single agent.
@@ -357,7 +346,6 @@ def rvo_velocity(px, py, vx, vy, des_x, des_y, radius, max_speed,
     return solve_velocity_kernel(pts, nms, count, max_speed, des_x, des_y)
 
 
-@jit
 def rvo_velocity_batch(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
                        tau, dt, neighbor_radius, out_vel):
     """RVO velocity for a batch of particle states (M, 6) sharing one neighbor set.

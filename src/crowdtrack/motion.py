@@ -64,8 +64,8 @@ class BodySpec:
 
     def __post_init__(self):
         for name in ("radius", "max_speed"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be > 0")
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ def as_vec(value, name="vector"):
 
 @dataclass(frozen=True)
 class AgentBody:
-    """Disc agent: position/velocity in meters and m/s, radius > 0, max_speed > 0."""
+    """Disc agent: position/velocity in meters and m/s, finite radius and max_speed > 0."""
 
     position: np.ndarray
     velocity: np.ndarray
@@ -43,10 +43,10 @@ class AgentBody:
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec(self.position, "position"))
         object.__setattr__(self, "velocity", as_vec(self.velocity, "velocity"))
-        if not (self.radius > 0.0):
-            raise ValueError("radius must be > 0")
-        if not (self.max_speed > 0.0):
-            raise ValueError("max_speed must be > 0")
+        if not (0.0 < self.radius < np.inf):
+            raise ValueError("radius must be finite and > 0")
+        if not (0.0 < self.max_speed < np.inf):
+            raise ValueError("max_speed must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,18 @@ class HalfPlane:
 
 @dataclass(frozen=True)
 class RvoParams:
-    """Planning horizon, step length and neighbor cutoff, all strictly positive."""
+    """Planning horizon and step length (finite, > 0) and neighbor cutoff (> 0, inf for none)."""
 
     time_horizon_tau: float = 2.0
     dt: float = 0.4
     neighbor_radius: float = 10.0
 
     def __post_init__(self):
-        for field_name in ("time_horizon_tau", "dt", "neighbor_radius"):
-            if not (getattr(self, field_name) > 0.0):
-                raise ValueError(f"{field_name} must be > 0")
+        for field_name in ("time_horizon_tau", "dt"):
+            if not (0.0 < getattr(self, field_name) < np.inf):
+                raise ValueError(f"{field_name} must be finite and > 0")
+        if not (self.neighbor_radius > 0.0):
+            raise ValueError("neighbor_radius must be > 0")
 
 
 @dataclass(frozen=True)
@@ -150,8 +152,8 @@ def solve_velocity(halfplanes, max_speed: float, v_desire) -> VelocitySolution:
     empty feasible region the returned solution is flagged infeasible and
     carries the least-violation velocity, still within the speed disc.
     """
-    if not (max_speed > 0.0):
-        raise ValueError("max_speed must be > 0")
+    if not (0.0 < max_speed < np.inf):
+        raise ValueError("max_speed must be finite and > 0")
     v_desire = as_vec(v_desire, "v_desire")
     n = len(halfplanes)
     pts = np.empty((n, 2))

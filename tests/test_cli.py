@@ -210,11 +210,18 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (TRACK + ["--set", "hpf.pi=nan,nan"], 2, "hpf.pi"),
     (TRACK + ["--set", "hpf.m=0"], 2, "hpf.m"),
     (TRACK + ["--set", "rvo.dt=-1"], 2, "rvo.dt"),
+    (TRACK + ["--set", "rvo.dt=inf"], 2, "rvo.dt"),
+    (TRACK + ["--set", "rvo.tau=inf"], 2, "rvo.tau"),
+    (TRACK + ["--set", "body.radius=inf"], 2, "body.radius"),
+    (TRACK + ["--set", "body.max_speed=inf"], 2, "body.max_speed"),
     (TRACK + ["--obs-noise", "-0.3"], 2, "obs.noise"),
     (TRACK + ["--obs-noise", "nan"], 2, "obs.noise"),
     (TRACK + ["--obs-noise", "inf"], 2, "obs.noise"),
     (PREDICT + ["--set", "bench.prediction_horizons=0"], 2, "bench.prediction_horizons"),
     (PREDICT + ["--set", "bench.prediction_horizons=31"], 2, "bench.prediction_horizons"),
+    (["predict", "--kind", "crossing", "--agents", 2, "--steps", -1], 2, "steps"),
+    (["predict", "--kind", "crossing", "--agents", 2, "--steps", -5], 2, "steps"),
+    (["simulate", "--kind", "corridor", "--agents", 0], 2, "agents"),
     (["predict", "--input", "dt_abc.csv"], 4, "dt"),
     (["predict", "--input", "dt_zero.csv"], 4, "dt"),
 ], ids=lambda v: v[-1] if isinstance(v, list) else None)

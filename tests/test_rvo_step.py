@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from crowdtrack import AgentBody, RvoParams, advance, rvo_step, step_all
+from crowdtrack import AgentBody, RvoParams, advance, kernels, rvo_step, step_all
 
 
 PARAMS = RvoParams(time_horizon_tau=2.0, dt=0.1, neighbor_radius=10.0)
@@ -137,9 +139,41 @@ class TestRvoStep:
         v = rvo_step(0, [a, far], [1.5, 0.0], PARAMS)
         assert np.allclose(v, [1.5, 0.0])
 
+    def test_body_limits_must_be_finite(self):
+        with pytest.raises(ValueError):
+            AgentBody([0.0, 0.0], [0.0, 0.0], radius=np.inf)
+        with pytest.raises(ValueError):
+            AgentBody([0.0, 0.0], [0.0, 0.0], max_speed=np.inf)
+
     def test_out_of_range_index(self):
         a = AgentBody([0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError):
             rvo_step(2, [a], [0.0, 0.0], PARAMS)
         with pytest.raises(ValueError):
             rvo_step(0, [], [0.0, 0.0], PARAMS)
+
+
+# SHA-256 of the velocities below, computed with the scalar kernels. A
+# refactor of the kernel must reproduce them bit for bit, not just closely.
+KERNEL_PIN = "d0d89e57da8b199cf0d94e20fa099cdc1ff2a443d25f1e6a52b15564f9c75330"
+
+
+def test_rvo_velocity_batch_is_bitwise_pinned():
+    rng = np.random.default_rng(8)
+    # Rows [px, py, vx, vy, des_x, des_y]; many positions overlap a neighbour.
+    states = np.column_stack([rng.uniform(-1.5, 1.5, (300, 2)), rng.uniform(-1, 1, (300, 2)),
+                              rng.uniform(-1.5, 1.5, (300, 2))])
+    # A duplicated neighbour (parallel constraints), head-on pairs from both
+    # sides, and one neighbour beyond the 5 m cutoff.
+    nbr_pos = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [20.0, 20.0]])
+    nbr_vel = np.array([[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [0.0, 0.0]])
+    nbr_rad = np.full(6, 0.3)
+    args = (0.25, 1.5, nbr_pos, nbr_vel, nbr_rad, 2.0, 0.4, 5.0)
+    out = np.empty((300, 2))
+    kernels.rvo_velocity_batch(states, *args, out)
+
+    gaps = np.linalg.norm(states[:, None, :2] - nbr_pos[None], axis=2)
+    assert np.any(gaps < 0.25 + 0.3)
+    feasible = [kernels.rvo_velocity(*row, *args)[0] for row in states]
+    assert 0 < feasible.count(False) < len(feasible)  # some rows take the lp3 fallback
+    assert hashlib.sha256(out.tobytes()).hexdigest() == KERNEL_PIN
