@@ -22,19 +22,15 @@ import numpy as np
 
 from .data import ObservationTrace, Scenario
 from .filters import FilterHistory, HpfConfig, ParticleSet, hpf_step, init_particles
-from .motion import BodySpec, CrowdContext, NoiseSpec, predict_mean_batch, resolve_model
-from .rvo import RvoParams
+from .motion import BodySpec, CrowdContext, NoiseSpec, resolve_model
+from .rvo import RvoParams, crowd_step
 
 #: Distance rule for track outcomes (meters).
 SUCCESS_THRESHOLD = 0.5
 
 
 class NoEligibleTrials(ValueError):
-    """No trajectory spans the required learning window."""
-
-
-class HorizonUnavailable(ValueError):
-    """A sequence does not reach the requested horizon index."""
+    """No trajectory spans the learning window or reaches a tracking horizon."""
 
 
 @dataclass(frozen=True)
@@ -148,14 +144,6 @@ class TrackReport:
         return "\n".join(lines)
 
 
-def mean_error(pred: Sequence, truth: Sequence, horizon: int) -> float:
-    """Euclidean distance between the two position sequences at index `horizon`."""
-    if horizon >= len(pred) or horizon >= len(truth):
-        raise HorizonUnavailable(f"horizon {horizon} beyond sequence length")
-    d = np.asarray(pred[horizon], dtype=np.float64) - np.asarray(truth[horizon], dtype=np.float64)
-    return float(np.linalg.norm(d))
-
-
 def classify_track(estimate, own_truth, other_truths,
                    threshold: float = SUCCESS_THRESHOLD) -> Tuple[str, float]:
     """Apply the distance rule to one track endpoint.
@@ -216,10 +204,8 @@ class JointTracker:
         """Publish the sets' means; push each set with the other agents' means beside it."""
         self.means = np.array([pset.weights @ pset.states for pset in sets])
         for i, pset in enumerate(sets):
-            self.histories[i].push(pset, self._context(self.means, i))
-
-    def _context(self, means: np.ndarray, i: int) -> CrowdContext:
-        return CrowdContext(np.delete(means, i, axis=0), self.params, self.body)
+            others = np.delete(self.means, i, axis=0)
+            self.histories[i].push(pset, CrowdContext(others, self.params, self.body))
 
     def step(self, observations: Dict[int, Optional[np.ndarray]], obs_model):
         """Advance every agent one frame.
@@ -244,17 +230,22 @@ class JointTracker:
         """Open-loop extrapolation of the published means, no observations.
 
         The mixture means at the current time are propagated jointly through
-        the noise-free motion model; for the higher-order filter this is the
-        frozen-weight mixture mean carried forward.  Yields, per step, a dict
-        of agent id to predicted position.  The filter state is not touched.
+        the noise-free motion model, one `crowd_step` per step for ``rvo``;
+        for the higher-order filter this is the frozen-weight mixture mean
+        carried forward.  Returns, per step, a dict of agent id to predicted
+        position.  The filter state is not touched.
         """
+        n = len(self.ids)
+        radii = np.full(n, self.body.radius)
+        max_speeds = np.full(n, self.body.max_speed)
+        dt = self.params.dt
         current = self.means
         out = []
         for _ in range(steps):
-            current = np.array([
-                predict_mean_batch(self.model, current[i:i + 1], self._context(current, i),
-                                   self.params.dt)[0]
-                for i in range(len(self.ids))])
+            if self.model == "lin":
+                current = np.hstack([current[:, 0:2] + current[:, 2:4] * dt, current[:, 2:6]])
+            else:
+                current = crowd_step(current, radii, max_speeds, self.params)
             out.append({agent_id: current[i, 0:2] for i, agent_id in enumerate(self.ids)})
         return out
 
@@ -527,6 +518,9 @@ def run_tracking_protocol(scenario: Scenario, trace: ObservationTrace,
                                                 others, cfg.threshold)
                     outcomes.append(TrackOutcome(agent_id, t0, step, kind, dist))
 
+    if not outcomes:
+        raise NoEligibleTrials(
+            f"no track reaches a tracking horizon ({echo_list(cfg.tracking_horizons)} steps)")
     return TrackReport(outcomes, dataset=scenario.name, model=model, filter_kind=filter_kind)
 
 

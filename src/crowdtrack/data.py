@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .motion import BodySpec
-from .rvo import AgentBody, RvoParams, step_all
+from .rvo import RvoParams, as_vec, crowd_step
 
 
 class MalformedRow(ValueError):
@@ -245,40 +245,6 @@ def write_trajectories(scenario: Scenario, path):
         fh.write(buf.getvalue())
 
 
-@dataclass
-class AgentTrack:
-    """Positions and finite-difference velocities of one agent."""
-
-    frame_positions: List[int]   # positions into Scenario.frames
-    positions: np.ndarray        # (T, 2)
-    velocities: np.ndarray       # (T, 2)
-    single_frame: bool = False
-
-
-def derive_velocities(scenario: Scenario) -> Dict[int, AgentTrack]:
-    """Forward finite differences per agent; the last sample copies its predecessor.
-
-    Agents present in a single frame get velocity (0, 0) and are flagged.
-    Differences across presence gaps divide by the actual elapsed time.
-    """
-    tracks = {}
-    by_agent = scenario.positions_by_agent()
-    times = [f.time_index for f in scenario.frames]
-    for agent_id, series in by_agent.items():
-        frame_ps = sorted(series)
-        pos = np.array([series[k] for k in frame_ps])
-        vel = np.zeros_like(pos)
-        if len(frame_ps) == 1:
-            tracks[agent_id] = AgentTrack(frame_ps, pos, vel, single_frame=True)
-            continue
-        for i in range(len(frame_ps) - 1):
-            gap = (times[frame_ps[i + 1]] - times[frame_ps[i]]) * scenario.dt
-            vel[i] = (pos[i + 1] - pos[i]) / gap
-        vel[-1] = vel[-2]
-        tracks[agent_id] = AgentTrack(frame_ps, pos, vel)
-    return tracks
-
-
 def _goal_desired_velocity(position, goal, pref_speed, dt):
     to_goal = goal - position
     dist = float(np.linalg.norm(to_goal))
@@ -313,24 +279,26 @@ def simulate_goal_driven(starts, goals, steps: int, dt: float,
         params = RvoParams(dt=sim_dt)
     else:
         params = RvoParams(params.time_horizon_tau, sim_dt, params.neighbor_radius)
-    agents = [AgentBody(np.asarray(s, dtype=np.float64), np.zeros(2),
-                        radius=body.radius, max_speed=body.max_speed) for s in starts]
-    goals = [np.asarray(g, dtype=np.float64) for g in goals]
-    frozen = [_goal_desired_velocity(agent.position, goal, pref_speed, sim_dt)
-              for agent, goal in zip(agents, goals)]
-    out = np.empty((steps + 1, len(agents), 2))
-    for i, agent in enumerate(agents):
-        out[0, i] = agent.position
+    starts = [as_vec(s, "start") for s in starts]
+    goals = [as_vec(g, "goal") for g in goals]
+    n = len(starts)
+    if len(goals) != n:
+        raise ValueError("need one goal per start")
+    radii = np.full(n, body.radius)
+    max_speeds = np.full(n, body.max_speed)
+    states = np.zeros((n, 6))
+    for i, (start, goal) in enumerate(zip(starts, goals)):
+        states[i, 0:2] = start
+        states[i, 4:6] = _goal_desired_velocity(start, goal, pref_speed, sim_dt)
+    out = np.empty((steps + 1, n, 2))
+    out[0] = states[:, 0:2]
     for t in range(steps):
         for _ in range(substeps):
-            if fixed_desired:
-                desires = frozen
-            else:
-                desires = [_goal_desired_velocity(agent.position, goal, pref_speed, sim_dt)
-                           for agent, goal in zip(agents, goals)]
-            agents = step_all(agents, desires, params)
-        for i, agent in enumerate(agents):
-            out[t + 1, i] = agent.position
+            if not fixed_desired:
+                for i, goal in enumerate(goals):
+                    states[i, 4:6] = _goal_desired_velocity(states[i, 0:2], goal, pref_speed, sim_dt)
+            states = crowd_step(states, radii, max_speeds, params)
+        out[t + 1] = states[:, 0:2]
     return out
 
 

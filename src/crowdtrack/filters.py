@@ -213,6 +213,7 @@ def mixture_update(history: FilterHistory, ctx: CrowdContext, obs, obs_model: Ob
     pi = pi / pi.sum()
 
     block_states = []
+    block_logprior = []
     block_logw = []
     best_loglik = -np.inf
     for j in range(1, k_eff + 1):
@@ -223,17 +224,14 @@ def mixture_update(history: FilterHistory, ctx: CrowdContext, obs, obs_model: Ob
         with np.errstate(divide="ignore"):
             log_prior = np.where(prior_w > 0.0, np.log(np.maximum(prior_w, 1e-300)), -np.inf)
         block_states.append(predicted.states)
+        block_logprior.append(log_prior)
         block_logw.append(log_prior + loglik)
 
     flagged = best_loglik < LOG_UNDERFLOW
     if flagged:
         # No block explains the observation at all: drop the likelihood and
         # keep the pure prediction so the filter survives the frame.
-        block_logw = []
-        for j in range(1, k_eff + 1):
-            prior_w = history.posterior(j).weights
-            with np.errstate(divide="ignore"):
-                block_logw.append(np.where(prior_w > 0.0, np.log(np.maximum(prior_w, 1e-300)), -np.inf))
+        block_logw = block_logprior
         log_scores = np.log(pi)
     else:
         log_scores = np.array([np.log(pi[j]) + _logsumexp(block_logw[j]) for j in range(k_eff)])

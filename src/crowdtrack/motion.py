@@ -94,7 +94,7 @@ class CrowdContext:
     """Snapshot of the *other* agents at one reference time.
 
     ``others`` holds the neighbours' mean states as rows of shape (n, 6)
-    and ``radii`` their disc radii, by default ``BodySpec().radius`` each.
+    and ``radii`` their disc radii, by default ``self_body.radius`` each.
     The snapshot is frozen for a whole filter step so that all agents
     update simultaneously from the same published means.  Treat instances
     as immutable.
@@ -113,7 +113,7 @@ class CrowdContext:
         self.neighbor_positions = others[:, 0:2].copy()
         self.neighbor_velocities = others[:, 2:4].copy()
         if radii is None:
-            radii = np.full(n, BodySpec().radius)
+            radii = np.full(n, self_body.radius)
         self.neighbor_radii = np.array(radii, dtype=np.float64)
         if self.neighbor_radii.shape != (n,):
             raise ValueError("radii must hold one radius per neighbour")

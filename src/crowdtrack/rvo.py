@@ -165,6 +165,41 @@ def solve_velocity(halfplanes, max_speed: float, v_desire) -> VelocitySolution:
     return VelocitySolution(velocity=np.array([vx, vy]), feasible=bool(feasible))
 
 
+def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
+    """Advance a crowd of state rows [px, py, vx, vy, des_x, des_y] one step.
+
+    Row i avoids every other row, in row order, with those rows' radii;
+    its new velocity is chosen with ``radii[i]`` and ``max_speeds[i]``, and
+    its position moves by that velocity for ``params.dt``.  The desired
+    velocities are kept.  Returns new rows; ``states`` is not modified.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    radii = np.asarray(radii, dtype=np.float64)
+    max_speeds = np.asarray(max_speeds, dtype=np.float64)
+    n = states.shape[0]
+    if states.shape != (n, 6) or radii.shape != (n,) or max_speeds.shape != (n,):
+        raise ValueError("states must have shape (n, 6), radii and max_speeds shape (n,)")
+    new_vel = np.empty((n, 2))
+    for i in range(n):
+        others = np.arange(n) != i
+        kernels.rvo_velocity_batch(
+            states[i:i + 1], radii[i], max_speeds[i],
+            states[others, 0:2], states[others, 2:4], radii[others],
+            params.time_horizon_tau, params.dt, params.neighbor_radius, new_vel[i:i + 1])
+    out = states.copy()
+    out[:, 0:2] = states[:, 0:2] + new_vel * params.dt
+    out[:, 2:4] = new_vel
+    return out
+
+
+def _rows(agents, v_desires):
+    """State rows, radii and speed limits of a list of bodies."""
+    states = np.array([np.concatenate([a.position, a.velocity, as_vec(v, "v_desire")])
+                       for a, v in zip(agents, v_desires)]).reshape(len(agents), 6)
+    return (states, np.array([a.radius for a in agents]),
+            np.array([a.max_speed for a in agents]))
+
+
 def rvo_step(self_idx: int, agents, v_desire, params: RvoParams) -> np.ndarray:
     """New velocity for one agent given every agent's current body.
 
@@ -178,24 +213,8 @@ def rvo_step(self_idx: int, agents, v_desire, params: RvoParams) -> np.ndarray:
         raise ValueError("agents must be nonempty")
     if not (0 <= self_idx < len(agents)):
         raise ValueError(f"self_idx {self_idx} out of range")
-    v_desire = as_vec(v_desire, "v_desire")
-    me = agents[self_idx]
-    others = [agents[i] for i in range(len(agents)) if i != self_idx]
-    n = len(others)
-    nbr_pos = np.empty((n, 2))
-    nbr_vel = np.empty((n, 2))
-    nbr_rad = np.empty(n)
-    for i, other in enumerate(others):
-        nbr_pos[i] = other.position
-        nbr_vel[i] = other.velocity
-        nbr_rad[i] = other.radius
-    _, vx, vy = kernels.rvo_velocity(
-        me.position[0], me.position[1], me.velocity[0], me.velocity[1],
-        v_desire[0], v_desire[1], me.radius, me.max_speed,
-        nbr_pos, nbr_vel, nbr_rad,
-        params.time_horizon_tau, params.dt, params.neighbor_radius,
-    )
-    return np.array([vx, vy])
+    v_desires = [v_desire if i == self_idx else a.velocity for i, a in enumerate(agents)]
+    return crowd_step(*_rows(agents, v_desires), params)[self_idx, 2:4]
 
 
 def advance(state: AgentBody, new_velocity, dt: float) -> AgentBody:
@@ -208,5 +227,6 @@ def advance(state: AgentBody, new_velocity, dt: float) -> AgentBody:
 
 def step_all(agents, v_desires, params: RvoParams):
     """Advance every agent one step simultaneously from the shared snapshot."""
-    new_velocities = [rvo_step(i, agents, v_desires[i], params) for i in range(len(agents))]
-    return [advance(agent, v, params.dt) for agent, v in zip(agents, new_velocities)]
+    rows = crowd_step(*_rows(agents, v_desires), params)
+    return [replace(agent, position=row[0:2], velocity=row[2:4])
+            for agent, row in zip(agents, rows)]

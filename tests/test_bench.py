@@ -1,11 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from crowdtrack import (HpfConfig, NoiseSpec, Scenario, classify_track,
-                        corrupt, make_scenario, mean_error,
+from crowdtrack import (BodySpec, HpfConfig, NoiseSpec, RvoParams, Scenario,
+                        classify_track, corrupt, crowd_step, make_scenario,
                         run_prediction_protocol, run_tracking_protocol, sweep)
-from crowdtrack.bench import (HorizonUnavailable, NoEligibleTrials,
-                              ProtocolConfig)
+from crowdtrack.bench import JointTracker, NoEligibleTrials, ProtocolConfig
 from crowdtrack.data import Frame, ObservationTrace, Observation
 
 
@@ -16,29 +17,6 @@ def linear_scenario(n_frames=50, speed=1.3, lanes=(0.0,), dt=0.4):
                    for i, lane in enumerate(lanes)]
         frames.append(Frame(t, entries))
     return Scenario(dt=dt, frames=frames, name="linear")
-
-
-class TestMeanError:
-    def test_identical_sequences(self):
-        seq = [np.array([t, 0.0]) for t in range(10)]
-        assert mean_error(seq, seq, 5) == 0.0
-
-    def test_three_four_five(self):
-        pred = [np.zeros(2)] * 6
-        truth = [np.zeros(2)] * 5 + [np.array([0.3, 0.4])]
-        assert abs(mean_error(pred, truth, 5) - 0.5) < 1e-12
-
-    def test_matches_recomputation(self):
-        rng = np.random.default_rng(0)
-        pred = rng.standard_normal((20, 2))
-        truth = rng.standard_normal((20, 2))
-        for horizon in (3, 7, 19):
-            d = np.sqrt(((pred[horizon] - truth[horizon]) ** 2).sum())
-            assert abs(mean_error(pred, truth, horizon) - d) < 1e-12
-
-    def test_horizon_unavailable(self):
-        with pytest.raises(HorizonUnavailable):
-            mean_error([np.zeros(2)] * 3, [np.zeros(2)] * 10, 5)
 
 
 class TestClassifyTrack:
@@ -155,6 +133,50 @@ class TestTrackingProtocol:
         st, ids, lost = report.counts()
         assert st + ids + lost == len(report.outcomes)
         assert len(report.outcomes) > 0
+
+    def test_no_reachable_horizon(self):
+        scenario = make_scenario("corridor", 2, seed=5, steps=5)
+        trace = corrupt(scenario, 0.0, (), seed=0)
+        cfg = ProtocolConfig(hpf=HpfConfig(order_k=1, pi=(1.0,), particles_m=20))
+        with pytest.raises(NoEligibleTrials):
+            run_tracking_protocol(scenario, trace, "lin", "pf", cfg, seed=0)
+
+
+def four_walkers(model, body=BodySpec()):
+    """A tracker over two crossing head-on pairs, at its initial means."""
+    fixes = {0: ([-3.0, 0.1], [1.2, 0.0]), 1: ([3.0, -0.1], [-1.2, 0.0]),
+             2: ([0.2, -3.0], [0.0, 1.2]), 3: ([-0.2, 3.0], [0.0, -1.2])}
+    return JointTracker(fixes, model, "hpf", HpfConfig(particles_m=50), NoiseSpec(),
+                        RvoParams(), np.random.default_rng(0), body)
+
+
+def rollout_digest(tracker, steps):
+    predicted = tracker.rollout_means(steps)
+    positions = np.array([[p[i] for i in tracker.ids] for p in predicted])
+    return hashlib.sha256(positions.tobytes()).hexdigest()
+
+
+class TestRolloutMeans:
+    # SHA-256 of 30 open-loop steps at the default body.  A refactor of the
+    # rollout's numeric path must reproduce them bit for bit, not just closely.
+    PINS = {"rvo+": "c30a422471f1cc4c1b4e8dd5cf38805d3a0c94a7404765421e0da2ab67783cac",
+            "lin": "ed894ad6b87fbc28620dd51fb8cee4381d43f8ffacc0e51b9633636146737edf"}
+
+    @pytest.mark.parametrize("model", ["rvo+", "lin"])
+    def test_rollout_is_bitwise_pinned(self, model):
+        assert rollout_digest(four_walkers(model), 30) == self.PINS[model]
+
+    def test_neighbours_share_the_body_radius(self):
+        body = BodySpec(radius=0.3)
+        tracker = four_walkers("rvo+", body)
+        for history in tracker.histories:
+            assert np.array_equal(history.context(1).neighbor_radii, np.full(3, 0.3))
+        current = tracker.means
+        for predicted in tracker.rollout_means(10):
+            current = crowd_step(current, np.full(4, 0.3), np.full(4, body.max_speed),
+                                 tracker.params)
+            for i, agent_id in enumerate(tracker.ids):
+                assert np.array_equal(predicted[agent_id], current[i, 0:2])
 
 
 class TestSweep:

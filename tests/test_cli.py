@@ -222,6 +222,8 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -1], 2, "steps"),
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -5], 2, "steps"),
     (["simulate", "--kind", "corridor", "--agents", 0], 2, "agents"),
+    (["track", "--kind", "corridor", "--agents", 2, "--set", "hpf.m=20", "--steps", 5], 3, "horizon"),
+    (["track", "--kind", "corridor", "--agents", 2, "--set", "hpf.m=20", "--steps", 0], 3, "horizon"),
     (["predict", "--input", "dt_abc.csv"], 4, "dt"),
     (["predict", "--input", "dt_zero.csv"], 4, "dt"),
 ], ids=lambda v: v[-1] if isinstance(v, list) else None)
@@ -232,7 +234,7 @@ def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, arg
     assert run(argv + ["--out", tmp_path / "x"]) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert (f"'{key}'" if code == 2 else f"{key} must") in err
+    assert {2: f"'{key}'", 3: key, 4: f"{key} must"}[code] in err
 
 
 SETTING_KEYS = sorted(RUN_KEYS) + sorted(PROTOCOL_KEYS) + [GRID_PREFIX + k for k in sorted(PROTOCOL_KEYS)]

@@ -1,11 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from crowdtrack import (Scenario, corrupt, derive_velocities, make_scenario,
-                        parse_trajectories, write_trajectories)
+from crowdtrack import (BodySpec, corrupt, make_scenario, parse_trajectories,
+                        write_trajectories)
 from crowdtrack.bench import min_pairwise_separation
-from crowdtrack.data import (EmptyFile, Frame, MalformedRow,
-                             NonMonotoneFrames)
+from crowdtrack.data import (EmptyFile, MalformedRow, NonMonotoneFrames,
+                             simulate_goal_driven)
 
 
 class TestParseCsvFixy:
@@ -91,41 +93,6 @@ class TestParseObsmat:
             parse_trajectories(path, fmt="obsmat")
 
 
-class TestDeriveVelocities:
-    def test_forward_difference(self):
-        frames = [Frame(0, [(1, np.array([0.0, 0.0]))]),
-                  Frame(1, [(1, np.array([0.4, 0.0]))])]
-        s = Scenario(dt=0.4, frames=frames)
-        tracks = derive_velocities(s)
-        assert np.allclose(tracks[1].velocities[0], [1.0, 0.0])
-        assert np.allclose(tracks[1].velocities[1], [1.0, 0.0])  # last copies previous
-
-    def test_stationary_agent(self):
-        frames = [Frame(t, [(1, np.array([2.0, 2.0]))]) for t in range(4)]
-        s = Scenario(dt=0.4, frames=frames)
-        tracks = derive_velocities(s)
-        assert np.allclose(tracks[1].velocities, 0.0)
-
-    def test_single_frame_agent_flagged(self):
-        frames = [Frame(0, [(1, np.array([0.0, 0.0])), (2, np.array([1.0, 1.0]))]),
-                  Frame(1, [(1, np.array([0.4, 0.0]))])]
-        s = Scenario(dt=0.4, frames=frames)
-        tracks = derive_velocities(s)
-        assert tracks[2].single_frame
-        assert np.allclose(tracks[2].velocities, 0.0)
-
-    def test_integrating_velocities_reconstructs_positions(self):
-        rng = np.random.default_rng(7)
-        pos = np.cumsum(rng.uniform(-0.3, 0.3, (25, 2)), axis=0)
-        frames = [Frame(t, [(1, pos[t])]) for t in range(25)]
-        s = Scenario(dt=0.4, frames=frames)
-        track = derive_velocities(s)[1]
-        rebuilt = [pos[0]]
-        for t in range(24):
-            rebuilt.append(rebuilt[-1] + track.velocities[t] * 0.4)
-        assert np.all(np.abs(np.array(rebuilt) - pos) < 1e-12)
-
-
 class TestMakeScenario:
     def test_same_seed_identical(self):
         a = make_scenario("circle", 6, seed=9, steps=30)
@@ -157,6 +124,25 @@ class TestMakeScenario:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_scenario("vortex", 3, seed=0)
+
+    # SHA-256 of the positions below.  A refactor of the generator's numeric
+    # path must reproduce every scenario bit for bit, not just closely.
+    SCENARIO_PIN = "aba5d3691e2bc93fe4fa4d65ba3e9b01017a1e4e1fd0a8da8d6ba19cfdfec6f6"
+
+    def test_positions_are_bitwise_pinned(self):
+        digest = hashlib.sha256()
+        for kind, n, body in (("head_on", 4, BodySpec()), ("crossing", 2, BodySpec(radius=0.3)),
+                              ("circle", 8, BodySpec()), ("corridor", 3, BodySpec())):
+            for seed in (0, 1):
+                s = make_scenario(kind, n, seed, body=body)
+                digest.update(np.array([[pos for _, pos in f.entries] for f in s.frames]).tobytes())
+        assert digest.hexdigest() == self.SCENARIO_PIN
+
+    def test_goals_are_checked(self):
+        with pytest.raises(ValueError):
+            simulate_goal_driven([[0.0, 0.0]], [[np.nan, 1.0]], steps=2, dt=0.4)
+        with pytest.raises(ValueError):
+            simulate_goal_driven([[0.0, 0.0]], [], steps=2, dt=0.4)
 
 
 class TestCorrupt:

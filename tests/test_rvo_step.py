@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from crowdtrack import AgentBody, RvoParams, advance, kernels, rvo_step, step_all
+from crowdtrack import AgentBody, RvoParams, advance, crowd_step, kernels, rvo_step, step_all
 
 
 PARAMS = RvoParams(time_horizon_tau=2.0, dt=0.1, neighbor_radius=10.0)
@@ -138,6 +138,24 @@ class TestRvoStep:
         far = AgentBody([50.0, 0.0], [-1.0, 0.0], max_speed=2.0)
         v = rvo_step(0, [a, far], [1.5, 0.0], PARAMS)
         assert np.allclose(v, [1.5, 0.0])
+
+    def test_crowd_step_matches_step_all_and_stays_mirrored(self):
+        agents = [AgentBody([-2.0, 0.0], [1.0, 0.0], radius=0.4, max_speed=2.0),
+                  AgentBody([2.0, 0.0], [-1.0, 0.0], radius=0.4, max_speed=2.0)]
+        desires = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
+        rows = np.array([[-2.0, 0.0, 1.0, 0.0, 1.0, 0.0], [2.0, 0.0, -1.0, 0.0, -1.0, 0.0]])
+        before = rows.copy()
+        stepped = crowd_step(rows, [0.4, 0.4], [2.0, 2.0], PARAMS)
+        assert np.array_equal(rows, before)
+        assert np.array_equal(stepped[:, 4:6], before[:, 4:6])
+        for _ in range(40):
+            agents = step_all(agents, desires, PARAMS)
+            rows = crowd_step(rows, [0.4, 0.4], [2.0, 2.0], PARAMS)
+            for agent, row in zip(agents, rows):
+                assert np.array_equal(agent.position, row[0:2])
+                assert np.array_equal(agent.velocity, row[2:4])
+            assert np.array_equal(rows[0], -rows[1])
+        assert abs(rows[0, 1]) > 1e-3
 
     def test_body_limits_must_be_finite(self):
         with pytest.raises(ValueError):
