@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Tuple
 from .bench import (PROTOCOL_KEYS, ConfigError, Key, NoEligibleTrials, ProtocolConfig,
                     configure, echo_list, min_pairwise_separation, parse_float, parse_int,
                     parse_ints, run_prediction_protocol, run_tracking_protocol, sweep)
-from .data import Scenario, corrupt, make_scenario, parse_trajectories, write_trajectories
+from .data import (OverlappingScenario, Scenario, corrupt, make_scenario, parse_trajectories,
+                   write_trajectories)
 from .motion import resolve_model
 
 EXIT_OK = 0
@@ -155,7 +156,7 @@ def apply_setting(cfg: RunConfig, key: str, raw: str) -> RunConfig:
                 raise ValueError("expected ';'-separated values")
         else:
             value = spec.parse(raw)
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         raise ConfigError(key, str(exc)) from None
     if grid_key:
         return replace(cfg, sweep_grid={**cfg.sweep_grid, grid_key: value})
@@ -227,6 +228,8 @@ def _load_scenario(cfg: RunConfig, protocol: ProtocolConfig) -> Scenario:
         try:
             return make_scenario(cfg.kind, cfg.agents, cfg.seed, steps=cfg.steps,
                                  dt=protocol.params.dt, body=protocol.body)
+        except OverlappingScenario as exc:
+            raise ConfigError("seed", str(exc)) from None
         except ValueError as exc:
             raise ConfigError("kind", str(exc)) from None
     raise ConfigError("input", "either an input file or a scenario kind is required")

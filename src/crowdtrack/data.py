@@ -5,8 +5,8 @@ typically 0.4 s.  The canonical on-disk format (``csv-fixy``) is a CSV with
 header ``frame,id,x,y`` preceded by optional ``# key = value`` metadata
 lines; the ETH-style ``obsmat`` layout is supported read-only.  Synthetic
 scenarios are produced by simulating avoidance agents toward assigned goals,
-so they are collision-free by construction and carry known ground-truth
-desired velocities.
+so they carry known ground-truth desired velocities; a seed whose simulation
+brings two agents closer than their radii allow is rejected.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ class NonMonotoneFrames(ValueError):
 
 class EmptyFile(ValueError):
     pass
+
+
+class OverlappingScenario(ValueError):
+    """A generated scenario brings two agents closer than their radii allow."""
 
 
 @dataclass
@@ -302,6 +306,13 @@ def simulate_goal_driven(starts, goals, steps: int, dt: float,
     return out
 
 
+def _min_gap(positions: np.ndarray) -> float:
+    """Smallest distance between two agents of (frames, n, 2) positions."""
+    first, second = np.triu_indices(positions.shape[1], 1)
+    diff = positions[:, first] - positions[:, second]
+    return float(np.sqrt(np.min(np.sum(diff * diff, axis=2), initial=np.inf)))
+
+
 def _scenario_from_rollout(positions: np.ndarray, goals, dt: float, name: str,
                            pref_speed: float) -> Scenario:
     frames = [Frame(t, [(i, positions[t, i].copy()) for i in range(positions.shape[1])])
@@ -325,7 +336,10 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
 
     Sparse kinds simulate directly at dt (the dynamics then match a predictor
     stepping at the annotation rate); the dense circle exchange refines the
-    simulation step to stay collision-free.
+    simulation step to stay collision-free.  Raises
+    :class:`OverlappingScenario` when two agents still come closer than
+    ``2 * body.radius - 1e-6`` in a recorded frame (circle-8 seeds 18, 106
+    and 12005 do).
     """
     if n_agents < 1:
         raise ValueError("n_agents must be >= 1")
@@ -390,6 +404,13 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
     positions = simulate_goal_driven(starts, goals, steps, dt, body, params,
                                      pref_speed, substeps=substeps,
                                      fixed_desired=fixed_desired)
+    # RVO is collision-free only while every velocity program is feasible;
+    # the least-violation fallback can let a dense crossing overlap.
+    gap = _min_gap(positions)
+    if gap < 2.0 * body.radius - 1e-6:
+        raise OverlappingScenario(
+            f"seed {seed}: {kind} agents come {gap:.6f} m apart, closer than "
+            f"their radius sum {2.0 * body.radius!r} m")
     return _scenario_from_rollout(positions, goals, dt, f"{kind}-{n_agents}-{seed}", pref_speed)
 
 

@@ -1,8 +1,15 @@
-"""Scalar geometry kernels for velocity-obstacle avoidance.
+"""Geometry kernels for velocity-obstacle avoidance.
 
-Everything in this module operates on plain floats and float64 arrays.  The
-object-level API that validates inputs and raises domain errors lives in
-:mod:`crowdtrack.rvo`.
+The scalar kernels operate on plain floats and float64 arrays, one agent
+(one particle row) at a time.  :func:`rvo_velocity_batch` is the entry point
+the program calls: batches of at least :data:`BATCH_MIN_ROWS` rows run
+:func:`rvo_velocity_rows`, which does the same floating-point operations
+elementwise over (rows, neighbours) numpy arrays and so returns bitwise the
+same velocities; smaller batches, such as the scenario generator's and the
+rollout's single rows, run the scalar :func:`rvo_velocity` per row.  Every
+returned velocity lies within ``max_speed`` up to rounding (relative 1e-12),
+the least-violation fallback included.  The object-level API that validates
+inputs and raises domain errors lives in :mod:`crowdtrack.rvo`.
 
 Conventions
 -----------
@@ -19,6 +26,11 @@ import numpy as np
 
 # Tolerance for parallel-direction determinants in the linear programs.
 _EPS = 1e-10
+
+#: Batches with fewer rows run the scalar kernel row by row: below about 12
+#: rows numpy's per-call overhead makes the vectorised path the slower one
+#: (6x slower on a 1-row call with 7 neighbours; numpy 2.4, x86-64).
+BATCH_MIN_ROWS = 16
 
 
 def vo_min_separation(rel_px, rel_py, tau, vx, vy):
@@ -244,7 +256,8 @@ def lp3(points, normals, count, begin, radius, res_x, res_y):
     Runs when the feasible region is empty.  Starting from the last lp2
     iterate, each still-violated constraint is relaxed together with the
     previously processed ones through their bisector lines, keeping all
-    violation depths equal to the smallest achievable maximum.
+    violation depths equal to the smallest achievable maximum.  The result
+    is put back on the speed disc when it lies outside by more than rounding.
     """
     distance = 0.0
     proj_p = np.empty((count, 2))
@@ -285,6 +298,15 @@ def lp3(points, normals, count, begin, radius, res_x, res_y):
                 res_x = cand_x
                 res_y = cand_y
             distance = (points[i, 0] - res_x) * normals[i, 0] + (points[i, 1] - res_y) * normals[i, 1]
+    # Two nearly antiparallel constraints meet on a bisector point far out
+    # (about 1e4 m/s), and lp1's disc then loses about 1e-8 to cancellation,
+    # so the iterate can land beyond the speed disc by far more than
+    # rounding.  Put it back on the disc; iterates off by only rounding stay.
+    speed = np.sqrt(res_x * res_x + res_y * res_y)
+    if speed > radius * (1.0 + 1e-12):
+        scale = radius / speed
+        res_x = res_x * scale
+        res_y = res_y * scale
     return res_x, res_y
 
 
@@ -350,11 +372,199 @@ def rvo_velocity_batch(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
                        tau, dt, neighbor_radius, out_vel):
     """RVO velocity for a batch of particle states (M, 6) sharing one neighbor set.
 
-    State layout per row: [px, py, vx, vy, des_x, des_y].
+    State layout per row: [px, py, vx, vy, des_x, des_y].  Fills ``out_vel``
+    (M, 2) in place.  Calls with at least :data:`BATCH_MIN_ROWS` rows run
+    :func:`rvo_velocity_rows`; smaller ones run :func:`rvo_velocity` per row.
+    Both give bitwise the same velocities.
     """
+    if states.shape[0] >= BATCH_MIN_ROWS:
+        rvo_velocity_rows(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
+                          tau, dt, neighbor_radius, out_vel)
+        return
     for i in range(states.shape[0]):
         _, ox, oy = rvo_velocity(states[i, 0], states[i, 1], states[i, 2], states[i, 3],
                                  states[i, 4], states[i, 5], radius, max_speed,
                                  nbr_pos, nbr_vel, nbr_rad, tau, dt, neighbor_radius)
         out_vel[i, 0] = ox
         out_vel[i, 1] = oy
+
+
+# ---------------------------------------------------------------------------
+# Vectorised batch path.  Each function below is the elementwise twin of a
+# scalar kernel above: every ``if`` is an ``np.where`` on the same predicate,
+# over the same expressions in the same operand order, so each element is
+# computed with exactly the scalar code's floating-point operations.  Arrays
+# are (rows, neighbours); neighbour slots out of range stay in place and are
+# masked, where the scalar code compacts them away.
+
+def _vo_closest_boundary_rows(rel_px, rel_py, radius_sum, tau, vx, vy):
+    """Elementwise :func:`vo_closest_boundary` (NaN where |x| = 0)."""
+    cx = rel_px / tau
+    cy = rel_py / tau
+    rho = radius_sum / tau
+    c_norm = np.sqrt(cx * cx + cy * cy)
+    ax = cx / c_norm
+    ay = cy / c_norm
+    sin_half = rho / c_norm
+    cos2 = 1.0 - sin_half * sin_half
+    cos2 = np.where(cos2 < 0.0, 0.0, cos2)
+    cos_half = np.sqrt(cos2)
+    tangent_dist = c_norm * cos_half
+
+    ldx = cos_half * ax - sin_half * ay
+    ldy = sin_half * ax + cos_half * ay
+    s = vx * ldx + vy * ldy
+    s = np.where(s < tangent_dist, tangent_dist, s)
+    qx = s * ldx
+    qy = s * ldy
+    d = np.sqrt((qx - vx) * (qx - vx) + (qy - vy) * (qy - vy))
+    take = d < np.inf
+    best = np.where(take, d, np.inf)
+    bqx = np.where(take, qx, 0.0)
+    bqy = np.where(take, qy, 0.0)
+    bnx = np.where(take, -ldy, 0.0)
+    bny = np.where(take, ldx, 0.0)
+
+    rdx = cos_half * ax + sin_half * ay
+    rdy = -sin_half * ax + cos_half * ay
+    s = vx * rdx + vy * rdy
+    s = np.where(s < tangent_dist, tangent_dist, s)
+    qx = s * rdx
+    qy = s * rdy
+    d = np.sqrt((qx - vx) * (qx - vx) + (qy - vy) * (qy - vy))
+    take = d < best
+    best = np.where(take, d, best)
+    bqx = np.where(take, qx, bqx)
+    bqy = np.where(take, qy, bqy)
+    bnx = np.where(take, rdy, bnx)
+    bny = np.where(take, -rdx, bny)
+
+    wx = vx - cx
+    wy = vy - cy
+    w_norm = np.sqrt(wx * wx + wy * wy)
+    at_center = w_norm < 1e-300
+    wux = np.where(at_center, -ax, wx / w_norm)
+    wuy = np.where(at_center, -ay, wy / w_norm)
+    w_norm = np.where(at_center, 0.0, w_norm)
+    d = w_norm - rho
+    d = np.where(d < 0.0, -d, d)
+    take = (wux * ax + wuy * ay <= -sin_half + 1e-12) & (d < best)
+    bqx = np.where(take, cx + rho * wux, bqx)
+    bqy = np.where(take, cy + rho * wuy, bqy)
+    bnx = np.where(take, wux, bnx)
+    bny = np.where(take, wuy, bny)
+    return bqx - vx, bqy - vy, bnx, bny
+
+
+def _overlap_shift_rows(rel_px, rel_py, radius_sum, dt, vx, vy):
+    """Elementwise :func:`overlap_shift`."""
+    inv_dt = 1.0 / dt
+    wx = vx - rel_px * inv_dt
+    wy = vy - rel_py * inv_dt
+    w_norm = np.sqrt(wx * wx + wy * wy)
+    at_center = w_norm < 1e-300
+    x_norm = np.sqrt(rel_px * rel_px + rel_py * rel_py)
+    apart = x_norm > 0.0
+    wux = np.where(at_center, np.where(apart, -rel_px / x_norm, 1.0), wx / w_norm)
+    wuy = np.where(at_center, np.where(apart, -rel_py / x_norm, 0.0), wy / w_norm)
+    w_norm = np.where(at_center, 0.0, w_norm)
+    mag = radius_sum * inv_dt - w_norm
+    return mag * wux, mag * wuy, wux, wuy
+
+
+def _halfplane_rows(states, radius, nbr_pos, nbr_vel, nbr_rad, tau, dt, neighbor_radius):
+    """Elementwise :func:`build_halfplanes`: (px, py, nx, ny, in_range), each (R, N)."""
+    px = states[:, 0:1]
+    py = states[:, 1:2]
+    vx = states[:, 2:3]
+    vy = states[:, 3:4]
+    rel_px = nbr_pos[:, 0] - px
+    rel_py = nbr_pos[:, 1] - py
+    dist2 = rel_px * rel_px + rel_py * rel_py
+    in_range = ~(dist2 > neighbor_radius * neighbor_radius)  # the scalar skip, negated
+    r_sum = radius + nbr_rad
+    rvx = vx - nbr_vel[:, 0]
+    rvy = vy - nbr_vel[:, 1]
+    overlap = dist2 < r_sum * r_sum
+    shift = _overlap_shift_rows(rel_px, rel_py, r_sum, dt, rvx, rvy)
+    cone = _vo_closest_boundary_rows(rel_px, rel_py, r_sum, tau, rvx, rvy)
+    ux, uy, nx, ny = (np.where(overlap, a, b) for a, b in zip(shift, cone))
+    return vx + 0.5 * ux, vy + 0.5 * uy, nx, ny, in_range
+
+
+def _lp1_rows(px, py, nx, ny, in_range, index, radius, opt_x, opt_y):
+    """Elementwise :func:`lp1` with ``direction_opt`` False; returns (ok, x, y)."""
+    bx = px[:, index]
+    by = py[:, index]
+    dx = ny[:, index]
+    dy = -nx[:, index]
+    dot_pd = bx * dx + by * dy
+    disc = dot_pd * dot_pd + radius * radius - bx * bx - by * by
+    ok = ~(disc < 0.0)
+    root = np.sqrt(disc)
+    t_left = -dot_pd - root
+    t_right = -dot_pd + root
+    for j in range(index):
+        denom = dx * nx[:, j] + dy * ny[:, j]
+        num = (bx - px[:, j]) * nx[:, j] + (by - py[:, j]) * ny[:, j]
+        live = ok & in_range[:, j]
+        parallel = (-_EPS < denom) & (denom < _EPS)
+        crossing = live & ~parallel
+        t = -num / denom
+        rising = denom > 0.0
+        t_left = np.where(crossing & rising & (t > t_left), t, t_left)
+        t_right = np.where(crossing & ~rising & (t < t_right), t, t_right)
+        ok &= ~(live & parallel & (num < 0.0)) & ~(crossing & (t_left > t_right))
+    t = (opt_x - bx) * dx + (opt_y - by) * dy
+    t = np.where(t < t_left, t_left, np.where(t > t_right, t_right, t))
+    return ok, bx + t * dx, by + t * dy
+
+
+def _lp2_rows(px, py, nx, ny, in_range, radius, opt_x, opt_y):
+    """:func:`lp2` with ``direction_opt`` False for all rows, one constraint at a time.
+
+    Returns (fail, x, y): ``fail`` is the failing slot, or N on success.  A
+    row that fails stops there with its iterate from before that slot.
+    """
+    rows, n = px.shape
+    opt_norm2 = opt_x * opt_x + opt_y * opt_y
+    outside = opt_norm2 > radius * radius
+    scale = radius / np.sqrt(opt_norm2)
+    res_x = np.where(outside, opt_x * scale, opt_x)
+    res_y = np.where(outside, opt_y * scale, opt_y)
+    fail = np.full(rows, n)
+    for k in range(n):
+        violated = ((res_x - px[:, k]) * nx[:, k] + (res_y - py[:, k]) * ny[:, k] < 0.0)
+        hit = np.flatnonzero(violated & in_range[:, k] & (fail == n))
+        if hit.size == 0:
+            continue
+        ok, new_x, new_y = _lp1_rows(px[hit], py[hit], nx[hit], ny[hit], in_range[hit],
+                                     k, radius, opt_x[hit], opt_y[hit])
+        res_x[hit[ok]] = new_x[ok]
+        res_y[hit[ok]] = new_y[ok]
+        fail[hit[~ok]] = k
+    return fail, res_x, res_y
+
+
+def rvo_velocity_rows(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
+                      tau, dt, neighbor_radius, out_vel):
+    """Vectorised :func:`rvo_velocity_batch`, bitwise equal to the per-row kernel.
+
+    Builds every half-plane at once, runs :func:`lp2` over all rows together
+    and the scalar :func:`lp3` on the rows whose program is infeasible, on
+    their compacted constraints.
+    """
+    with np.errstate(all="ignore"):
+        px, py, nx, ny, in_range = _halfplane_rows(states, radius, nbr_pos, nbr_vel,
+                                                   nbr_rad, tau, dt, neighbor_radius)
+        fail, res_x, res_y = _lp2_rows(px, py, nx, ny, in_range, max_speed,
+                                       states[:, 4], states[:, 5])
+    for r in np.flatnonzero(fail < px.shape[1]):
+        keep = in_range[r]
+        points = np.column_stack((px[r, keep], py[r, keep]))
+        normals = np.column_stack((nx[r, keep], ny[r, keep]))
+        res_x[r], res_y[r] = lp3(points, normals, points.shape[0],
+                                 int(np.count_nonzero(keep[:fail[r]])), max_speed,
+                                 res_x[r], res_y[r])
+    out_vel[:, 0] = res_x
+    out_vel[:, 1] = res_y

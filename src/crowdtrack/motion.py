@@ -27,8 +27,6 @@ STATE_DIM = 6
 
 #: Model ids implemented here.
 MODELS = ("lin", "rvo")
-#: Interface-compatible model ids that ship unimplemented on purpose.
-UNAVAILABLE_MODELS = ("lta", "attr", "attrg")
 
 
 @dataclass(frozen=True)
@@ -127,10 +125,6 @@ def resolve_model(name: str) -> Tuple[str, bool]:
     """
     base = name[:-1] if name.endswith("+") else name
     base = base.lower()
-    if base in UNAVAILABLE_MODELS:
-        raise NotImplementedError(
-            f"model '{base}' requires an external codebase and is not shipped"
-        )
     if base not in MODELS:
         raise ValueError(f"unknown model '{name}' (available: {MODELS})")
     return base, name.endswith("+")
@@ -138,7 +132,7 @@ def resolve_model(name: str) -> Tuple[str, bool]:
 
 def _check_model(model: str):
     if model not in MODELS:
-        # Route unimplemented/unknown ids through the resolver for uniform errors.
+        # Route unknown ids through the resolver for uniform errors.
         resolve_model(model)
 
 

@@ -222,6 +222,7 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -1], 2, "steps"),
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -5], 2, "steps"),
     (["simulate", "--kind", "corridor", "--agents", 0], 2, "agents"),
+    (["simulate", "--kind", "circle", "--agents", 8, "--seed", 18], 2, "seed"),
     (["track", "--kind", "corridor", "--agents", 2, "--set", "hpf.m=20", "--steps", 5], 3, "horizon"),
     (["track", "--kind", "corridor", "--agents", 2, "--set", "hpf.m=20", "--steps", 0], 3, "horizon"),
     (["predict", "--input", "dt_abc.csv"], 4, "dt"),

@@ -6,7 +6,7 @@ import pytest
 from crowdtrack import (BodySpec, corrupt, make_scenario, parse_trajectories,
                         write_trajectories)
 from crowdtrack.bench import min_pairwise_separation
-from crowdtrack.data import (EmptyFile, MalformedRow, NonMonotoneFrames,
+from crowdtrack.data import (EmptyFile, MalformedRow, NonMonotoneFrames, OverlappingScenario,
                              simulate_goal_driven)
 
 
@@ -120,6 +120,13 @@ class TestMakeScenario:
         for kind, n in (("head_on", 4), ("crossing", 4), ("circle", 8), ("corridor", 3)):
             s = make_scenario(kind, n, seed=5)
             assert min_pairwise_separation(s) >= 0.4 - 1e-6, kind
+
+    @pytest.mark.parametrize("seed", [18, 106, 12005])
+    def test_overlapping_seeds_rejected(self, seed):
+        # The least-violation fallback lets two circle agents overlap by up
+        # to 0.8 mm on these seeds.
+        with pytest.raises(OverlappingScenario, match=f"seed {seed}:"):
+            make_scenario("circle", 8, seed=seed)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

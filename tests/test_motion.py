@@ -28,7 +28,7 @@ class TestResolveModel:
 
     def test_external_models_unavailable(self):
         for name in ("lta", "attr+", "attrg"):
-            with pytest.raises(NotImplementedError):
+            with pytest.raises(ValueError):
                 resolve_model(name)
 
     def test_unknown_model(self):
