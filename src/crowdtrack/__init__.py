@@ -1,9 +1,7 @@
 """Crowd motion model, per-agent particle filters and tracking benchmarks."""
 
-from .rvo import (AgentBody, HalfPlane, OverlappingAgents, RvoParams,
-                  VelocitySolution, advance, compute_u, crowd_step,
-                  permitted_halfplane, rvo_step, solve_velocity, step_all,
-                  vo_contains)
+from .rvo import (AgentBody, HalfPlane, RvoParams, VelocitySolution,
+                  crowd_step, rvo_step, solve_velocity, step_all)
 from .motion import AgentState, BodySpec, CrowdContext, NoiseSpec, resolve_model
 from .filters import (FilterHistory, HpfConfig, InsufficientHistory,
                       ParticleSet, hpf_predict_j, hpf_step, pf_step,

@@ -191,8 +191,6 @@ class JointTracker:
         self.rng = rng
         self.ids = sorted(init_fixes)
         self.histories = [FilterHistory(cfg.order_k) for _ in self.ids]
-        self.lambdas: Dict[int, np.ndarray] = {agent_id: np.ones(1) for agent_id in self.ids}
-        self.flagged_steps = 0
         pos_spread, vel_spread = init_spread if init_spread else (None, None)
         sets = [init_particles(*init_fixes[agent_id], cfg.particles_m, self.noise, rng,
                                timestamp, position_spread=pos_spread,
@@ -212,16 +210,10 @@ class JointTracker:
 
         ``observations`` maps agent id to a position or None (occluded).
         """
-        new_sets = []
-        for agent_id, history in zip(self.ids, self.histories):
-            posterior, lambdas = hpf_step(
-                history, history.context(1), observations.get(agent_id), obs_model,
-                self.cfg, self.model, self.noise, self.params.dt, self.rng)
-            new_sets.append(posterior)
-            if posterior.flagged:
-                self.flagged_steps += 1
-            self.lambdas[agent_id] = np.asarray(lambdas)
-        self._publish(new_sets)
+        self._publish([
+            hpf_step(history, history.context(1), observations.get(agent_id), obs_model,
+                     self.cfg, self.model, self.noise, self.params.dt, self.rng)[0]
+            for agent_id, history in zip(self.ids, self.histories)])
 
     def mean_position(self, agent_id: int) -> np.ndarray:
         return self.means[self.ids.index(agent_id), 0:2]

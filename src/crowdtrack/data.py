@@ -221,16 +221,39 @@ def _parse_obsmat(text: str, name: str) -> Scenario:
     return Scenario(dt=0.4, frames=frames, name=name)
 
 
+def _check_finite_motion(scenario: Scenario):
+    """Reject a dt or 1/dt that is not finite, or a non-finite frame-to-frame velocity."""
+    if not (np.isfinite(scenario.dt) and np.isfinite(1.0 / scenario.dt)):
+        raise ValueError(f"dt must be finite with a finite reciprocal, got {scenario.dt}")
+    for before, after in zip(scenario.frames, scenario.frames[1:]):
+        previous = dict(before.entries)
+        for agent_id, pos in after.entries:
+            if agent_id not in previous:
+                continue
+            with np.errstate(over="ignore"):
+                velocity = (pos - previous[agent_id]) / scenario.dt
+            if not np.all(np.isfinite(velocity)):
+                raise ValueError(f"agent {agent_id}: displacement / dt must be finite, from "
+                                 f"frame {before.time_index} to {after.time_index}")
+
+
 def parse_trajectories(path, fmt: str = "csv-fixy") -> Scenario:
-    """Load a trajectory file into a canonical Scenario."""
+    """Load a trajectory file into a canonical Scenario.
+
+    Raises ``ValueError`` on malformed rows and on a dt or a frame-to-frame
+    velocity that is not finite.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     if fmt == "csv-fixy":
-        return _parse_csv_fixy(text, name)
-    if fmt == "obsmat":
-        return _parse_obsmat(text, name)
-    raise ValueError(f"unknown format '{fmt}' (use 'csv-fixy' or 'obsmat')")
+        scenario = _parse_csv_fixy(text, name)
+    elif fmt == "obsmat":
+        scenario = _parse_obsmat(text, name)
+    else:
+        raise ValueError(f"unknown format '{fmt}' (use 'csv-fixy' or 'obsmat')")
+    _check_finite_motion(scenario)
+    return scenario
 
 
 def write_trajectories(scenario: Scenario, path):

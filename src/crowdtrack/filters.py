@@ -98,7 +98,7 @@ class HpfConfig:
 class FilterHistory:
     """Ring buffer of the last K posteriors and their aligned crowd contexts.
 
-    Entry j=1 is the newest (time t-1), j=capacity the oldest.  The context
+    Entry j=1 is the newest (time t-1), j=len(history) the oldest.  The context
     stored with a posterior describes the other agents at that same time, so
     propagating from t-j to t-j+1 uses the context stored at t-j.
     """
@@ -113,10 +113,6 @@ class FilterHistory:
 
     def __len__(self):
         return len(self._entries)
-
-    @property
-    def capacity(self) -> int:
-        return self._entries.maxlen
 
     def posterior(self, j: int) -> ParticleSet:
         self._check(j)
@@ -183,8 +179,6 @@ def hpf_predict_j(history: FilterHistory, j: int, model: str, noise: NoiseSpec,
     when given, replaces the stored context for the final hop.  The returned
     set keeps the source weights.
     """
-    if not (1 <= j <= len(history)):
-        raise InsufficientHistory(f"requested j={j}, history holds {len(history)}")
     source = history.posterior(j)
     states = source.states
     for back in range(j, 0, -1):

@@ -8,8 +8,8 @@ elementwise over (rows, neighbours) numpy arrays and so returns bitwise the
 same velocities; smaller batches, such as the scenario generator's and the
 rollout's single rows, run the scalar :func:`rvo_velocity` per row.  Every
 returned velocity lies within ``max_speed`` up to rounding (relative 1e-12),
-the least-violation fallback included.  The object-level API that validates
-inputs and raises domain errors lives in :mod:`crowdtrack.rvo`.
+the least-violation fallback included.  Inputs are not validated here: the
+callers in :mod:`crowdtrack.rvo` and :mod:`crowdtrack.motion` check them.
 
 Conventions
 -----------
@@ -31,27 +31,6 @@ _EPS = 1e-10
 #: rows numpy's per-call overhead makes the vectorised path the slower one
 #: (6x slower on a 1-row call with 7 neighbours; numpy 2.4, x86-64).
 BATCH_MIN_ROWS = 16
-
-
-def vo_min_separation(rel_px, rel_py, tau, vx, vy):
-    """Smallest distance of t*(vx, vy) from the relative position over t in (0, tau].
-
-    The relative velocity collides within the horizon iff this distance is
-    strictly below the combined radius.  The quadratic |t*v - x|^2 is
-    minimized in closed form and clamped to the horizon; for t -> 0+ the
-    infimum is |x| itself.
-    """
-    speed2 = vx * vx + vy * vy
-    if speed2 <= 0.0:
-        return np.sqrt(rel_px * rel_px + rel_py * rel_py)
-    t = (vx * rel_px + vy * rel_py) / speed2
-    if t <= 0.0:
-        return np.sqrt(rel_px * rel_px + rel_py * rel_py)
-    if t > tau:
-        t = tau
-    dx = t * vx - rel_px
-    dy = t * vy - rel_py
-    return np.sqrt(dx * dx + dy * dy)
 
 
 def vo_closest_boundary(rel_px, rel_py, radius_sum, tau, vx, vy):

@@ -130,15 +130,10 @@ def resolve_model(name: str) -> Tuple[str, bool]:
     return base, name.endswith("+")
 
 
-def _check_model(model: str):
-    if model not in MODELS:
-        # Route unknown ids through the resolver for uniform errors.
-        resolve_model(model)
-
-
 def predict_mean_batch(model: str, states: np.ndarray, ctx: CrowdContext, dt: float) -> np.ndarray:
-    """Noise-free transition means for a batch of states (M, 6) of one agent."""
-    _check_model(model)
+    """Noise-free transition means of one agent's states (M, 6) under a MODELS id."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model id '{model}' (available: {MODELS})")
     if not (dt > 0.0):
         raise ValueError("dt must be > 0")
     states = np.asarray(states, dtype=np.float64)

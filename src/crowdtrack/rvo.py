@@ -5,7 +5,8 @@ pair of agents the set of relative velocities colliding within a planning
 horizon forms a truncated cone in velocity space; sharing the avoidance
 effort equally gives each agent one permitted half-plane per neighbor, and
 the new velocity is the feasible point closest to the agent's desired
-velocity.
+velocity.  The geometry is in :mod:`crowdtrack.kernels`; this module checks
+inputs and calls it for state rows (:func:`crowd_step`), bodies and half-planes.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-
-
-class OverlappingAgents(ValueError):
-    """Two agent discs already intersect; the cone geometry is undefined."""
 
 
 def as_vec(value, name="vector"):
@@ -62,15 +59,6 @@ class HalfPlane:
         if abs(float(np.linalg.norm(self.normal)) - 1.0) > 1e-9:
             raise ValueError("normal must have unit length")
 
-    def contains(self, velocity, tol=0.0):
-        v = as_vec(velocity, "velocity")
-        return float(np.dot(v - self.point, self.normal)) >= -tol
-
-    def signed_margin(self, velocity):
-        """Positive inside the permitted side, negative when violated."""
-        v = as_vec(velocity, "velocity")
-        return float(np.dot(v - self.point, self.normal))
-
 
 @dataclass(frozen=True)
 class RvoParams:
@@ -99,50 +87,6 @@ class VelocitySolution:
 
     velocity: np.ndarray
     feasible: bool
-
-
-def _check_pair(a: AgentBody, b: AgentBody, tau: float):
-    if not (tau > 0.0):
-        raise ValueError("tau must be > 0")
-    rel = b.position - a.position
-    r_sum = a.radius + b.radius
-    if float(np.linalg.norm(rel)) < r_sum:
-        raise OverlappingAgents(
-            f"discs overlap: center distance {np.linalg.norm(rel):.6f} < {r_sum:.6f}"
-        )
-    return rel, r_sum
-
-
-def vo_contains(a: AgentBody, b: AgentBody, tau: float, rel_velocity) -> bool:
-    """True iff the relative velocity collides with the neighbor within tau seconds."""
-    rel_velocity = as_vec(rel_velocity, "rel_velocity")
-    rel, r_sum = _check_pair(a, b, tau)
-    sep = kernels.vo_min_separation(rel[0], rel[1], tau, rel_velocity[0], rel_velocity[1])
-    return bool(sep < r_sum)
-
-
-def compute_u(a: AgentBody, b: AgentBody, tau: float):
-    """Smallest relative-velocity change onto the collision-cone boundary.
-
-    Returns (u, n): u moves the current relative velocity a.velocity -
-    b.velocity onto the closest boundary point (toward the boundary from
-    outside, out of the cone from inside); n is the outward unit normal
-    there.
-    """
-    rel, r_sum = _check_pair(a, b, tau)
-    rv = a.velocity - b.velocity
-    ux, uy, nx, ny = kernels.vo_closest_boundary(rel[0], rel[1], r_sum, tau, rv[0], rv[1])
-    return np.array([ux, uy]), np.array([nx, ny])
-
-
-def permitted_halfplane(a: AgentBody, b: AgentBody, tau: float) -> HalfPlane:
-    """Half-plane of velocities keeping agent `a` collision-free against `b`.
-
-    Each agent of the pair takes half of the required change u, so the
-    boundary passes through a.velocity + u/2 with the cone normal.
-    """
-    u, n = compute_u(a, b, tau)
-    return HalfPlane(point=a.velocity + 0.5 * u, normal=n)
 
 
 def solve_velocity(halfplanes, max_speed: float, v_desire) -> VelocitySolution:
@@ -215,14 +159,6 @@ def rvo_step(self_idx: int, agents, v_desire, params: RvoParams) -> np.ndarray:
         raise ValueError(f"self_idx {self_idx} out of range")
     v_desires = [v_desire if i == self_idx else a.velocity for i, a in enumerate(agents)]
     return crowd_step(*_rows(agents, v_desires), params)[self_idx, 2:4]
-
-
-def advance(state: AgentBody, new_velocity, dt: float) -> AgentBody:
-    """Euler step: adopt the new velocity and move for dt seconds."""
-    if not (dt > 0.0):
-        raise ValueError("dt must be > 0")
-    new_velocity = as_vec(new_velocity, "new_velocity")
-    return replace(state, position=state.position + new_velocity * dt, velocity=new_velocity)
 
 
 def step_all(agents, v_desires, params: RvoParams):

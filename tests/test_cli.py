@@ -1,3 +1,7 @@
+import csv
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,11 +231,17 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (["track", "--kind", "corridor", "--agents", 2, "--set", "hpf.m=20", "--steps", 0], 3, "horizon"),
     (["predict", "--input", "dt_abc.csv"], 4, "dt"),
     (["predict", "--input", "dt_zero.csv"], 4, "dt"),
+    (["predict", "--input", "dt_inf.csv"], 4, "dt"),
+    (["predict", "--input", "dt_tiny.csv"], 4, "dt"),
+    (["predict", "--input", "x_overflow.csv"], 4, "dt"),
 ], ids=lambda v: v[-1] if isinstance(v, list) else None)
 def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, argv, code, key):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dt_abc.csv").write_text("# dt = abc\n" + DT_ROWS)
     (tmp_path / "dt_zero.csv").write_text("# dt = 0\n" + DT_ROWS)
+    (tmp_path / "dt_inf.csv").write_text("# dt = inf\n" + DT_ROWS)
+    (tmp_path / "dt_tiny.csv").write_text("# dt = 1e-320\n" + DT_ROWS)
+    (tmp_path / "x_overflow.csv").write_text("frame,id,x,y\n0,1,1e308,0.0\n1,1,-1e308,0.0\n")
     assert run(argv + ["--out", tmp_path / "x"]) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -272,3 +282,46 @@ def test_config_echo_reproduces_run(tmp_path, argv):
     assert outputs
     for name in outputs:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+# Mostly ordinary coordinates, one draw in eight an extreme or malformed field.
+CSV_NUMBER = st.integers(0, 7).flatmap(lambda k: st.floats(-10.0, 10.0).map(repr) if k else (
+    st.floats().map(repr) | st.sampled_from(["1e308", "-1e308", "1e200", "-1e200", "1e-320",
+                                             "5e-324", "-0.0", "inf", "nan", "", "x", "1_0"])))
+
+
+@st.composite
+def trajectory_text(draw):
+    """csv-fixy text: an optional dt line, a header, frames of id rows, trailing junk."""
+    lines = []
+    dt = draw(st.none() | st.floats(0.05, 1.0).map(repr) | CSV_NUMBER)
+    if dt is not None:
+        lines.append(f"# dt = {dt}")
+    lines.append(draw(st.sampled_from(["frame,id,x,y"] * 7 + ["frame,id"])))
+    frames = draw(st.lists(st.integers(-1, 10), unique=True, max_size=8))
+    for frame in sorted(frames) if draw(st.integers(0, 7)) else frames:
+        for agent_id in draw(st.lists(st.integers(0, 2), unique=True, min_size=1, max_size=3)):
+            lines.append(f"{frame},{agent_id},{draw(CSV_NUMBER)},{draw(CSV_NUMBER)}")
+    if not draw(st.integers(0, 3)):
+        lines.append(draw(st.text(max_size=8)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=trajectory_text(), obs_noise=st.sampled_from([0.0, 0.1]))
+def test_any_trajectory_file_predicts_or_exits_cleanly(text, obs_noise):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out")
+        code = run(["predict", "--input", path, "--out", out, "--obs-noise", obs_noise,
+                    "--set", "hpf.m=8", "--set", "bench.learn_steps=1",
+                    "--set", "bench.start_stride=1", "--set", "bench.predict_steps=2",
+                    "--set", "bench.prediction_horizons=1,2"])
+        assert code in (0, 3, 4)
+        if code == 0:
+            with open(os.path.join(out, "report.csv"), encoding="utf-8") as fh:
+                for row in csv.DictReader(fh):
+                    if np.isnan(float(row["mean_error_m"])):
+                        assert int(row["n_trials"]) == 0, row

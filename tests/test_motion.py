@@ -3,7 +3,10 @@ import pytest
 
 from crowdtrack import (AgentBody, BodySpec, CrowdContext, NoiseSpec,
                         RvoParams, resolve_model, rvo_step)
-from crowdtrack.motion import predict_mean_batch, sample_transition_batch
+from crowdtrack.kernels import build_halfplanes
+from crowdtrack.motion import MODELS, predict_mean_batch, sample_transition_batch
+
+from helpers import analytic_min_separation
 
 
 def state(p, v, d=None):
@@ -34,6 +37,14 @@ class TestResolveModel:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             resolve_model("social-force")
+
+    @pytest.mark.parametrize("name, base", [("lin+", "lin"), ("LIN", "lin"), ("rvo+", "rvo")])
+    def test_prediction_takes_only_resolved_ids(self, name, base):
+        # A user-facing name resolves to a base id; the prediction itself
+        # rejects the unresolved name instead of running another model.
+        assert resolve_model(name)[0] == base and base in MODELS
+        with pytest.raises(ValueError):
+            predict(name, state([0, 0], [1, 0], d=[0, 1]), empty_ctx())
 
 
 class TestPredictMean:
@@ -108,7 +119,6 @@ class TestSampleTransition:
 
 class TestRvoDelegatedInvariant:
     def test_mean_velocity_satisfies_neighbor_halfplanes(self):
-        from crowdtrack import permitted_halfplane
         rng = np.random.default_rng(9)
         params = RvoParams(time_horizon_tau=2.0, dt=0.4)
         body = BodySpec(radius=0.25, max_speed=2.0)
@@ -120,10 +130,18 @@ class TestRvoDelegatedInvariant:
             ctx = CrowdContext(others=[other], params=params, self_body=body,
                                radii=[body.radius])
             out = predict("rvo", me, ctx)
-            a = AgentBody(me[0:2], me[2:4], body.radius, body.max_speed)
-            b = AgentBody(other[0:2], other[2:4], body.radius, body.max_speed)
-            hp = permitted_halfplane(a, b, params.time_horizon_tau)
-            assert hp.signed_margin(out[2:4]) >= -1e-9
+            point, normal = np.empty((1, 2)), np.empty((1, 2))
+            assert build_halfplanes(*me[0:4], body.radius, other[None, 0:2], other[None, 2:4],
+                                    np.array([body.radius]), params.time_horizon_tau,
+                                    params.dt, params.neighbor_radius, point, normal) == 1
+            # The plane's permitted side is collision-free next to its
+            # anchor v + u/2, where the relative velocity reaches the cone.
+            rel_pos = other[0:2] - me[0:2]
+            boundary = 2.0 * point[0] - me[2:4] - other[2:4]
+            assert (analytic_min_separation(rel_pos, params.time_horizon_tau,
+                                            boundary + 1e-6 * normal[0])
+                    >= 2 * body.radius - 1e-12)
+            assert (out[2:4] - point[0]) @ normal[0] >= -1e-9
 
 
 def _unit(rng):

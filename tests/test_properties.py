@@ -4,28 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdtrack import AgentBody, HalfPlane, ParticleSet, advance, resample
-
-finite = st.floats(min_value=-100.0, max_value=100.0,
-                   allow_nan=False, allow_infinity=False)
-
-
-@given(px=finite, py=finite, vx=finite, vy=finite,
-       dt=st.floats(min_value=1e-3, max_value=10.0))
-def test_advance_splits_linearly(px, py, vx, vy, dt):
-    a = AgentBody([px, py], [0.0, 0.0])
-    v = np.array([vx, vy])
-    once = advance(a, v, dt)
-    twice = advance(advance(a, v, dt / 2), v, dt / 2)
-    assert np.allclose(once.position, twice.position, rtol=0, atol=1e-9)
-
-
-@given(px=finite, py=finite, angle=st.floats(min_value=0.0, max_value=2 * np.pi))
-def test_halfplane_contains_its_anchor(px, py, angle):
-    hp = HalfPlane([px, py], [np.cos(angle), np.sin(angle)])
-    assert hp.contains(hp.point, tol=1e-12)
-    assert hp.contains(hp.point + hp.normal)
-    assert not hp.contains(hp.point - hp.normal, tol=1e-12)
+from crowdtrack import ParticleSet, resample
 
 
 @settings(deadline=None)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from crowdtrack import AgentBody, RvoParams, advance, crowd_step, kernels, rvo_step, step_all
+from crowdtrack import AgentBody, RvoParams, crowd_step, kernels, rvo_step, step_all
 
 
 PARAMS = RvoParams(time_horizon_tau=2.0, dt=0.1, neighbor_radius=10.0)
@@ -14,25 +14,34 @@ def rotate(v, theta):
     return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
 
 
+def lone_step(position, desired, dt, max_speed=2.5):
+    """One `crowd_step` of a single agent: no neighbours, so it takes its clamped desire."""
+    row = np.concatenate([position, [0.0, 0.0], desired])[None, :]
+    params = RvoParams(time_horizon_tau=2.0, dt=dt, neighbor_radius=10.0)
+    return crowd_step(row, [0.2], [max_speed], params)[0]
+
+
 class TestAdvance:
     def test_zero_velocity_keeps_position(self):
-        a = AgentBody([1.0, 2.0], [0.5, 0.5])
-        out = advance(a, [0.0, 0.0], 0.4)
-        assert np.array_equal(out.position, a.position)
-        assert np.array_equal(out.velocity, [0.0, 0.0])
+        out = lone_step([1.0, 2.0], [0.0, 0.0], 0.4)
+        assert np.array_equal(out[0:2], [1.0, 2.0])
+        assert np.array_equal(out[2:4], [0.0, 0.0])
 
     def test_displacement_arithmetic(self):
-        a = AgentBody([0.0, 0.0], [0.0, 0.0])
-        out = advance(a, [1.0, 2.0], 0.4)
-        assert np.allclose(out.position, [0.4, 0.8])
-        assert out.radius == a.radius and out.max_speed == a.max_speed
+        out = lone_step([0.0, 0.0], [1.0, 2.0], 0.4)
+        assert np.allclose(out[0:2], [0.4, 0.8])
+        assert np.array_equal(out[4:6], [1.0, 2.0])
+        # A desire beyond the speed limit is clamped onto it first.
+        out = lone_step([0.0, 0.0], [3.0, 4.0], 0.4, max_speed=1.0)
+        assert np.allclose(out[2:4], [0.6, 0.8], atol=1e-12)
+        assert np.allclose(out[0:2], [0.24, 0.32], atol=1e-12)
 
     def test_two_half_steps_equal_one_full_step(self):
-        a = AgentBody([0.3, -0.2], [0.0, 0.0])
         v = np.array([0.7, -1.1])
-        twice = advance(advance(a, v, 0.2), v, 0.2)
-        once = advance(a, v, 0.4)
-        assert np.allclose(twice.position, once.position, atol=1e-15)
+        half = lone_step([0.3, -0.2], v, 0.2)
+        twice = lone_step(half[0:2], v, 0.2)
+        once = lone_step([0.3, -0.2], v, 0.4)
+        assert np.allclose(twice[0:2], once[0:2], atol=1e-15)
 
 
 class TestRvoStep:
