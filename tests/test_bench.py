@@ -147,7 +147,7 @@ def four_walkers(model, body=BodySpec()):
     fixes = {0: ([-3.0, 0.1], [1.2, 0.0]), 1: ([3.0, -0.1], [-1.2, 0.0]),
              2: ([0.2, -3.0], [0.0, 1.2]), 3: ([-0.2, 3.0], [0.0, -1.2])}
     return JointTracker(fixes, model, "hpf", HpfConfig(particles_m=50), NoiseSpec(),
-                        RvoParams(), np.random.default_rng(0), body)
+                        RvoParams(), np.random.default_rng(0), body, init_spread=(0.05, 0.1))
 
 
 def rollout_digest(tracker, steps):

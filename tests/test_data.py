@@ -10,6 +10,16 @@ from crowdtrack.data import (EmptyFile, MalformedRow, NonMonotoneFrames, Overlap
                              simulate_goal_driven)
 
 
+def positions_digest(cases):
+    """SHA-256 of make_scenario positions for (kind, agents, body, seeds) cases."""
+    digest = hashlib.sha256()
+    for kind, n, body, seeds in cases:
+        for seed in seeds:
+            s = make_scenario(kind, n, seed, body=body)
+            digest.update(np.array([[pos for _, pos in f.entries] for f in s.frames]).tobytes())
+    return digest.hexdigest()
+
+
 class TestParseCsvFixy:
     def test_three_row_hand_written_file(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -137,13 +147,19 @@ class TestMakeScenario:
     SCENARIO_PIN = "aba5d3691e2bc93fe4fa4d65ba3e9b01017a1e4e1fd0a8da8d6ba19cfdfec6f6"
 
     def test_positions_are_bitwise_pinned(self):
-        digest = hashlib.sha256()
-        for kind, n, body in (("head_on", 4, BodySpec()), ("crossing", 2, BodySpec(radius=0.3)),
-                              ("circle", 8, BodySpec()), ("corridor", 3, BodySpec())):
-            for seed in (0, 1):
-                s = make_scenario(kind, n, seed, body=body)
-                digest.update(np.array([[pos for _, pos in f.entries] for f in s.frames]).tobytes())
-        assert digest.hexdigest() == self.SCENARIO_PIN
+        assert positions_digest((("head_on", 4, BodySpec(), (0, 1)),
+                                 ("crossing", 2, BodySpec(radius=0.3), (0, 1)),
+                                 ("circle", 8, BodySpec(), (0, 1)),
+                                 ("corridor", 3, BodySpec(), (0, 1)))) == self.SCENARIO_PIN
+
+    # The benchmark's scenarios: the first three track-corridor and
+    # predict-crossing rounds, and the README circle.
+    BENCHMARK_PIN = "78c4f27a24d4e275f5452ab1f16aecb468ad27d071209ca3a3545c5b01eccd42"
+
+    def test_benchmark_scenarios_are_bitwise_pinned(self):
+        assert positions_digest((("corridor", 3, BodySpec(), (0, 1, 2)),
+                                 ("crossing", 2, BodySpec(0.3, 2.5), (0, 1, 2)),
+                                 ("circle", 8, BodySpec(), (3,)))) == self.BENCHMARK_PIN
 
     def test_goals_are_checked(self):
         with pytest.raises(ValueError):
