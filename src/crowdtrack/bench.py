@@ -38,12 +38,10 @@ class GaussianPositionLikelihood:
     """Isotropic Gaussian likelihood on position; flat when the target is occluded.
 
     Stands in for an appearance model: an observation is a 2D position, and
-    a missing observation contributes the constant ``occlusion_log_likelihood``
-    to every particle (weights unchanged).
+    a missing observation scores every particle 0 (weights unchanged).
     """
 
     sigma_obs: float = 0.1
-    occlusion_log_likelihood: float = 0.0
 
     def __post_init__(self):
         if not (self.sigma_obs > 0.0):
@@ -51,7 +49,7 @@ class GaussianPositionLikelihood:
 
     def log_likelihood(self, obs, states: np.ndarray) -> np.ndarray:
         if obs is None:
-            return np.full(states.shape[0], self.occlusion_log_likelihood)
+            return np.zeros(states.shape[0])
         obs = np.asarray(obs, dtype=np.float64)
         d = states[:, 0:2] - obs
         s2 = self.sigma_obs * self.sigma_obs
@@ -175,9 +173,8 @@ class JointTracker:
 
     def __init__(self, init_fixes: Dict[int, Tuple[np.ndarray, np.ndarray]],
                  model: str, filter_kind: str, cfg: HpfConfig, noise: NoiseSpec,
-                 params: RvoParams, rng: np.random.Generator,
-                 body: BodySpec = BodySpec(), timestamp: int = 0,
-                 init_spread: Optional[Tuple[float, float]] = None):
+                 params: RvoParams, rng: np.random.Generator, body: BodySpec,
+                 init_spread: Tuple[float, float]):
         base_model, adaptive = resolve_model(model)
         self.model = base_model
         if filter_kind == "pf":
@@ -191,10 +188,7 @@ class JointTracker:
         self.rng = rng
         self.ids = sorted(init_fixes)
         self.histories = [FilterHistory(cfg.order_k) for _ in self.ids]
-        pos_spread, vel_spread = init_spread if init_spread else (None, None)
-        sets = [init_particles(*init_fixes[agent_id], cfg.particles_m, self.noise, rng,
-                               timestamp, position_spread=pos_spread,
-                               velocity_spread=vel_spread)
+        sets = [init_particles(*init_fixes[agent_id], cfg.particles_m, rng, *init_spread)
                 for agent_id in self.ids]
         self._publish(sets)
 
@@ -431,8 +425,7 @@ def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
         any_trial = True
         spread = cfg.resolve_init_spread(scenario.dt, exact_observations=trace is None)
         tracker = JointTracker(init, model, filter_kind, cfg.hpf, cfg.noise,
-                               cfg.params, rng, cfg.body, timestamp=t0,
-                               init_spread=spread)
+                               cfg.params, rng, cfg.body, spread)
         for t in range(t0 + 1, learn_end + 1):
             obs = {agent_id: _observation_at(scenario, trace, t, agent_id)
                    for agent_id in eligible}
@@ -445,7 +438,11 @@ def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
                 for agent_id in eligible:
                     truth = tracks[agent_id].get(t)
                     if truth is not None:
-                        err = float(np.linalg.norm(predicted[step - 1][agent_id] - truth))
+                        diff = predicted[step - 1][agent_id] - truth
+                        err = float(np.linalg.norm(diff))
+                        if np.isinf(err):
+                            # The squared norm overflowed; hypot scales first.
+                            err = float(np.hypot(*diff))
                         errors[step].append(err)
 
     if not any_trial:
@@ -491,8 +488,7 @@ def run_tracking_protocol(scenario: Scenario, trace: ObservationTrace,
             init[agent_id] = (p0, v0)
         spread = cfg.resolve_init_spread(scenario.dt, exact_observations=False)
         tracker = JointTracker(init, model, filter_kind, cfg.hpf, cfg.noise,
-                               cfg.params, rng, cfg.body, timestamp=t0,
-                               init_spread=spread)
+                               cfg.params, rng, cfg.body, spread)
         horizon = min(cfg.track_steps, n - 1 - t0)
         for step in range(1, horizon + 1):
             t = t0 + step
@@ -569,17 +565,3 @@ def sweep(grid: Dict[str, Sequence], scenarios: Sequence[Scenario],
             best_score = score
             best = combo
     return SweepResult(best=best, best_score=best_score, rows=rows)
-
-
-def min_pairwise_separation(scenario: Scenario) -> float:
-    """Smallest center distance between any two agents over all frames."""
-    best = np.inf
-    for frame in scenario.frames:
-        if len(frame.entries) < 2:
-            continue
-        pts = np.array([pos for _, pos in frame.entries])
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = np.sqrt(np.sum(diff * diff, axis=2))
-        d[np.arange(len(pts)), np.arange(len(pts))] = np.inf
-        best = min(best, float(d.min()))
-    return best

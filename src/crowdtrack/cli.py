@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .bench import (PROTOCOL_KEYS, ConfigError, Key, NoEligibleTrials, ProtocolConfig,
-                    configure, echo_list, min_pairwise_separation, parse_float, parse_int,
-                    parse_ints, run_prediction_protocol, run_tracking_protocol, sweep)
-from .data import (OverlappingScenario, Scenario, corrupt, make_scenario, parse_trajectories,
-                   write_trajectories)
+                    configure, echo_list, parse_float, parse_int, parse_ints,
+                    run_prediction_protocol, run_tracking_protocol, sweep)
+from .data import (NonFiniteMotion, OverlappingScenario, Scenario, corrupt, make_scenario,
+                   min_pairwise_separation, parse_trajectories, write_trajectories)
 from .motion import resolve_model
 
 EXIT_OK = 0
@@ -217,6 +217,8 @@ def _write_echo(cfg: RunConfig, protocol: ProtocolConfig):
 
 
 def _load_scenario(cfg: RunConfig, protocol: ProtocolConfig) -> Scenario:
+    if cfg.input and cfg.kind:
+        raise ConfigError("input", "give either an input file or a scenario kind, not both")
     if cfg.input:
         if not os.path.exists(cfg.input):
             raise IOError(f"input file '{cfg.input}' does not exist")
@@ -239,6 +241,8 @@ def _trace_for(cfg: RunConfig, scenario: Scenario):
     if cfg.obs_noise > 0.0 or cfg.occlusions:
         try:
             return corrupt(scenario, cfg.obs_noise, cfg.occlusions, seed=cfg.seed)
+        except NonFiniteMotion as exc:
+            raise ConfigError("obs.noise", str(exc)) from None
         except ValueError as exc:
             raise ConfigError("occlusions", str(exc)) from None
     return None

@@ -12,6 +12,7 @@ brings two agents closer than their radii allow is rejected.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,6 +20,9 @@ import numpy as np
 
 from .motion import BodySpec
 from .rvo import RvoParams, as_vec, crowd_step
+
+#: Preferred walking speed of generated agents (m/s), recorded in each scenario's meta.
+PREF_SPEED = 1.3
 
 
 class MalformedRow(ValueError):
@@ -37,6 +41,10 @@ class EmptyFile(ValueError):
 
 class OverlappingScenario(ValueError):
     """A generated scenario brings two agents closer than their radii allow."""
+
+
+class NonFiniteMotion(ValueError):
+    """A dt, 1/dt, position or frame-to-frame displacement / dt is not finite."""
 
 
 @dataclass
@@ -221,27 +229,34 @@ def _parse_obsmat(text: str, name: str) -> Scenario:
     return Scenario(dt=0.4, frames=frames, name=name)
 
 
-def _check_finite_motion(scenario: Scenario):
-    """Reject a dt or 1/dt that is not finite, or a non-finite frame-to-frame velocity."""
-    if not (np.isfinite(scenario.dt) and np.isfinite(1.0 / scenario.dt)):
-        raise ValueError(f"dt must be finite with a finite reciprocal, got {scenario.dt}")
-    for before, after in zip(scenario.frames, scenario.frames[1:]):
-        previous = dict(before.entries)
-        for agent_id, pos in after.entries:
-            if agent_id not in previous:
-                continue
-            with np.errstate(over="ignore"):
-                velocity = (pos - previous[agent_id]) / scenario.dt
-            if not np.all(np.isfinite(velocity)):
-                raise ValueError(f"agent {agent_id}: displacement / dt must be finite, from "
-                                 f"frame {before.time_index} to {after.time_index}")
+def _check_finite_motion(dt: float, frames: Sequence[Tuple[int, Dict[int, np.ndarray]]]):
+    """Raise NonFiniteMotion on a dt or 1/dt that is not finite, a non-finite
+    position, or a non-finite displacement / dt between consecutive frames.
+
+    ``frames`` holds (frame time index, {agent id: position}) pairs in order.
+    """
+    if not (np.isfinite(dt) and np.isfinite(1.0 / dt)):
+        raise NonFiniteMotion(f"dt must be finite with a finite reciprocal, got {dt}")
+    before, previous = None, {}
+    with np.errstate(over="ignore"):
+        for time_index, positions in frames:
+            for agent_id, (x, y) in positions.items():
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise NonFiniteMotion(f"agent {agent_id}: position must be finite, "
+                                          f"in frame {time_index}")
+                if agent_id in previous:
+                    px, py = previous[agent_id]
+                    if not (math.isfinite((x - px) / dt) and math.isfinite((y - py) / dt)):
+                        raise NonFiniteMotion(f"agent {agent_id}: displacement / dt must be "
+                                              f"finite, from frame {before} to {time_index}")
+            before, previous = time_index, positions
 
 
 def parse_trajectories(path, fmt: str = "csv-fixy") -> Scenario:
     """Load a trajectory file into a canonical Scenario.
 
-    Raises ``ValueError`` on malformed rows and on a dt or a frame-to-frame
-    velocity that is not finite.
+    Raises ``ValueError`` on malformed rows, and `NonFiniteMotion` on a dt or
+    a frame-to-frame velocity that is not finite.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -252,7 +267,7 @@ def parse_trajectories(path, fmt: str = "csv-fixy") -> Scenario:
         scenario = _parse_obsmat(text, name)
     else:
         raise ValueError(f"unknown format '{fmt}' (use 'csv-fixy' or 'obsmat')")
-    _check_finite_motion(scenario)
+    _check_finite_motion(scenario.dt, [(f.time_index, dict(f.entries)) for f in scenario.frames])
     return scenario
 
 
@@ -272,25 +287,23 @@ def write_trajectories(scenario: Scenario, path):
         fh.write(buf.getvalue())
 
 
-def _goal_desired_velocity(position, goal, pref_speed, dt):
+def _goal_desired_velocity(position, goal, dt):
     to_goal = goal - position
     dist = float(np.linalg.norm(to_goal))
     if dist < 1e-12:
         return np.zeros(2)
-    speed = min(pref_speed, dist / dt)
+    speed = min(PREF_SPEED, dist / dt)
     return to_goal / dist * speed
 
 
 def simulate_goal_driven(starts, goals, steps: int, dt: float,
-                         body: BodySpec = BodySpec(),
-                         params: Optional[RvoParams] = None,
-                         pref_speed: float = 1.3, substeps: int = 4,
+                         body: BodySpec = BodySpec(), substeps: int = 4,
                          fixed_desired: bool = False) -> np.ndarray:
-    """Simulate avoidance agents walking toward fixed goals.
+    """Simulate avoidance agents walking toward fixed goals at `PREF_SPEED`.
 
     Returns positions with shape (steps + 1, n, 2) sampled at dt.  The
-    simulation itself runs at dt/substeps so dense crossings stay
-    collision-free even when the recording interval is coarse.
+    simulation itself runs at dt/substeps with default `RvoParams` so dense
+    crossings stay collision-free even when the recording interval is coarse.
 
     With ``fixed_desired`` each agent keeps the constant desired velocity
     aimed from its start at its goal and walks on past it; the default
@@ -302,10 +315,7 @@ def simulate_goal_driven(starts, goals, steps: int, dt: float,
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     sim_dt = dt / substeps
-    if params is None:
-        params = RvoParams(dt=sim_dt)
-    else:
-        params = RvoParams(params.time_horizon_tau, sim_dt, params.neighbor_radius)
+    params = RvoParams(dt=sim_dt)
     starts = [as_vec(s, "start") for s in starts]
     goals = [as_vec(g, "goal") for g in goals]
     n = len(starts)
@@ -316,40 +326,43 @@ def simulate_goal_driven(starts, goals, steps: int, dt: float,
     states = np.zeros((n, 6))
     for i, (start, goal) in enumerate(zip(starts, goals)):
         states[i, 0:2] = start
-        states[i, 4:6] = _goal_desired_velocity(start, goal, pref_speed, sim_dt)
+        states[i, 4:6] = _goal_desired_velocity(start, goal, sim_dt)
     out = np.empty((steps + 1, n, 2))
     out[0] = states[:, 0:2]
     for t in range(steps):
         for _ in range(substeps):
             if not fixed_desired:
                 for i, goal in enumerate(goals):
-                    states[i, 4:6] = _goal_desired_velocity(states[i, 0:2], goal, pref_speed, sim_dt)
+                    states[i, 4:6] = _goal_desired_velocity(states[i, 0:2], goal, sim_dt)
             states = crowd_step(states, radii, max_speeds, params)
         out[t + 1] = states[:, 0:2]
     return out
 
 
-def _min_gap(positions: np.ndarray) -> float:
-    """Smallest distance between two agents of (frames, n, 2) positions."""
-    first, second = np.triu_indices(positions.shape[1], 1)
-    diff = positions[:, first] - positions[:, second]
-    return float(np.sqrt(np.min(np.sum(diff * diff, axis=2), initial=np.inf)))
+def min_pairwise_separation(scenario: Scenario) -> float:
+    """Smallest center distance between any two agents over all frames."""
+    best = np.inf
+    for frame in scenario.frames:
+        if len(frame.entries) < 2:
+            continue
+        pts = np.array([pos for _, pos in frame.entries])
+        diff = pts[:, None, :] - pts[None, :, :]
+        d = np.sqrt(np.sum(diff * diff, axis=2))
+        d[np.arange(len(pts)), np.arange(len(pts))] = np.inf
+        best = min(best, float(d.min()))
+    return best
 
 
-def _scenario_from_rollout(positions: np.ndarray, goals, dt: float, name: str,
-                           pref_speed: float) -> Scenario:
+def _scenario_from_rollout(positions: np.ndarray, goals, dt: float, name: str) -> Scenario:
     frames = [Frame(t, [(i, positions[t, i].copy()) for i in range(positions.shape[1])])
               for t in range(positions.shape[0])]
     meta = {f"goal.{i}": f"{float(g[0])!r},{float(g[1])!r}" for i, g in enumerate(goals)}
-    meta["pref_speed"] = repr(float(pref_speed))
+    meta["pref_speed"] = repr(PREF_SPEED)
     return Scenario(dt=dt, frames=frames, name=name, meta=meta)
 
 
 def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = None,
-                  dt: float = 0.4, body: BodySpec = BodySpec(),
-                  params: Optional[RvoParams] = None,
-                  pref_speed: float = 1.3,
-                  substeps: Optional[int] = None) -> Scenario:
+                  dt: float = 0.4, body: BodySpec = BodySpec()) -> Scenario:
     """Deterministic synthetic scenario of a given kind.
 
     head_on   -- two opposing groups on parallel lanes walking through each other
@@ -357,12 +370,12 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
     circle    -- agents on a circle exchanging to antipodal goals
     corridor  -- one platoon on closely spaced lanes, same direction
 
-    Sparse kinds simulate directly at dt (the dynamics then match a predictor
-    stepping at the annotation rate); the dense circle exchange refines the
-    simulation step to stay collision-free.  Raises
-    :class:`OverlappingScenario` when two agents still come closer than
-    ``2 * body.radius - 1e-6`` in a recorded frame (circle-8 seeds 18, 106
-    and 12005 do).
+    Agents walk at `PREF_SPEED`.  Sparse kinds simulate directly at dt (the
+    dynamics then match a predictor stepping at the annotation rate); the
+    dense circle exchange runs four substeps per dt to stay collision-free.
+    Raises :class:`OverlappingScenario` when two agents still come closer
+    than ``2 * body.radius - 1e-6`` in a recorded frame (circle-8 seeds 18,
+    106 and 12005 do).
     """
     if n_agents < 1:
         raise ValueError("n_agents must be >= 1")
@@ -407,7 +420,7 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
         for a, r in zip(angles, radii):
             starts.append(r * np.array([np.cos(a), np.sin(a)]))
             goals.append(-radius * np.array([np.cos(a), np.sin(a)]))
-        default_steps = int(np.ceil(3.0 * radius / (pref_speed * dt)))
+        default_steps = int(np.ceil(3.0 * radius / (PREF_SPEED * dt)))
     elif kind == "corridor":
         gaps = rng.uniform(-0.3, 0.3, size=n_agents)
         for i in range(n_agents):
@@ -419,30 +432,32 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
         raise ValueError(f"unknown scenario kind '{kind}'")
 
     steps = default_steps if steps is None else steps
-    if substeps is None:
-        substeps = 4 if kind == "circle" else 1
     # Sparse kinds keep a constant desired velocity (walkers pass through);
     # the circle exchange needs goal re-aiming to actually arrive.
     fixed_desired = kind != "circle"
-    positions = simulate_goal_driven(starts, goals, steps, dt, body, params,
-                                     pref_speed, substeps=substeps,
+    positions = simulate_goal_driven(starts, goals, steps, dt, body,
+                                     substeps=4 if kind == "circle" else 1,
                                      fixed_desired=fixed_desired)
+    scenario = _scenario_from_rollout(positions, goals, dt, f"{kind}-{n_agents}-{seed}")
     # RVO is collision-free only while every velocity program is feasible;
     # the least-violation fallback can let a dense crossing overlap.
-    gap = _min_gap(positions)
+    gap = min_pairwise_separation(scenario)
     if gap < 2.0 * body.radius - 1e-6:
         raise OverlappingScenario(
             f"seed {seed}: {kind} agents come {gap:.6f} m apart, closer than "
             f"their radius sum {2.0 * body.radius!r} m")
-    return _scenario_from_rollout(positions, goals, dt, f"{kind}-{n_agents}-{seed}", pref_speed)
+    return scenario
 
 
+@np.errstate(over="ignore")
 def corrupt(scenario: Scenario, noise_sigma: float,
             occlusions: Sequence[Tuple[int, int, int]] = (), seed: int = 0) -> ObservationTrace:
     """Noisy/occluded observation stream for a scenario.
 
     ``occlusions`` entries are (agent_id, start, length) in frame positions;
-    occluded entries keep no position.  Deterministic per seed.
+    occluded entries keep no position.  Deterministic per seed.  Raises
+    `NonFiniteMotion` when the noisy positions fail `parse_trajectories`'
+    finite-motion rule.
     """
     n = scenario.n_frames
     for agent_id, start, length in occlusions:
@@ -464,4 +479,7 @@ def corrupt(scenario: Scenario, noise_sigma: float,
                 noisy = pos + rng.standard_normal(2) * noise_sigma
                 obs[agent_id] = Observation(noisy, tag)
         frames.append(obs)
+    _check_finite_motion(scenario.dt, [
+        (frame.time_index, {agent_id: o.position for agent_id, o in obs.items() if o.position is not None})
+        for frame, obs in zip(scenario.frames, frames)])
     return ObservationTrace(frames)

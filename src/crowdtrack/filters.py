@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple
+from typing import Protocol, Tuple
 
 import numpy as np
 
@@ -170,27 +170,21 @@ def posterior_mean(pset: ParticleSet) -> AgentState:
 
 
 def hpf_predict_j(history: FilterHistory, j: int, model: str, noise: NoiseSpec,
-                  dt: float, rng: np.random.Generator,
-                  latest_ctx: Optional[CrowdContext] = None) -> ParticleSet:
+                  dt: float, rng: np.random.Generator) -> ParticleSet:
     """Propagate the posterior from j steps back through j single transitions.
 
-    Each intermediate step uses the crowd context stored alongside that
-    time's posterior (the other agents' published means); ``latest_ctx``,
-    when given, replaces the stored context for the final hop.  The returned
-    set keeps the source weights.
+    Each hop uses the crowd context stored alongside the posterior of the
+    time it starts from (the other agents' published means then).  The
+    returned set keeps the source weights.
     """
     source = history.posterior(j)
     states = source.states
     for back in range(j, 0, -1):
-        if back == 1 and latest_ctx is not None:
-            ctx = latest_ctx
-        else:
-            ctx = history.context(back)
-        states = sample_transition_batch(model, states, ctx, noise, dt, rng)
+        states = sample_transition_batch(model, states, history.context(back), noise, dt, rng)
     return ParticleSet(states, source.weights.copy(), source.timestamp + j, source.flagged)
 
 
-def mixture_update(history: FilterHistory, ctx: CrowdContext, obs, obs_model: ObservationModel,
+def mixture_update(history: FilterHistory, obs, obs_model: ObservationModel,
                    cfg: HpfConfig, model: str, noise: NoiseSpec, dt: float,
                    rng: np.random.Generator):
     """Shared core of `hpf_step`: blocks, mixture weights and the pooled set.
@@ -211,7 +205,7 @@ def mixture_update(history: FilterHistory, ctx: CrowdContext, obs, obs_model: Ob
     block_logw = []
     best_loglik = -np.inf
     for j in range(1, k_eff + 1):
-        predicted = hpf_predict_j(history, j, model, noise, dt, rng, latest_ctx=ctx)
+        predicted = hpf_predict_j(history, j, model, noise, dt, rng)
         loglik = np.asarray(obs_model.log_likelihood(obs, predicted.states), dtype=np.float64)
         best_loglik = max(best_loglik, float(np.max(loglik)))
         prior_w = predicted.weights
@@ -246,12 +240,16 @@ def hpf_step(history: FilterHistory, ctx: CrowdContext, obs, obs_model: Observat
              rng: np.random.Generator):
     """One higher-order filter step.
 
+    ``ctx`` must be ``history.context(1)``, the context pushed with the
+    newest posterior; every hop propagates with the stored contexts.
     Returns (posterior ParticleSet with M uniform-weight particles, mixture
     weights lambda summing to 1).  With K=1 this is exactly one bootstrap
     filter step.
     """
+    if ctx is not history.context(1):
+        raise ValueError("ctx must be the context stored with the newest posterior")
     pooled_states, pooled_weights, lambdas, _, flagged = mixture_update(
-        history, ctx, obs, obs_model, cfg, model, noise, dt, rng)
+        history, obs, obs_model, cfg, model, noise, dt, rng)
     timestamp = history.posterior(1).timestamp + 1
     pooled = ParticleSet(pooled_states, pooled_weights, timestamp, flagged)
     return resample(pooled, cfg.particles_m, rng), lambdas
@@ -271,24 +269,20 @@ def pf_step(prior: ParticleSet, ctx: CrowdContext, obs, obs_model: ObservationMo
     return posterior
 
 
-def init_particles(position, velocity, m: int, noise: NoiseSpec,
-                   rng: np.random.Generator, timestamp: int = 0,
-                   position_spread: Optional[float] = None,
-                   velocity_spread: Optional[float] = None) -> ParticleSet:
-    """Particle cloud around a first position/velocity fix.
+def init_particles(position, velocity, m: int, rng: np.random.Generator,
+                   position_spread: float, velocity_spread: float) -> ParticleSet:
+    """Uniform-weight particle cloud around a first position/velocity fix.
 
-    The spreads should reflect the uncertainty of the fix itself (for a
-    two-point finite difference, roughly the observation noise and
-    sqrt(2)/dt times it); they default to the transition noise.  The desired
-    velocity starts equal to the sampled velocity, matching an
-    initialization from the first observed finite-difference velocity.
+    The spreads (standard deviations) should reflect the uncertainty of the
+    fix itself: for a two-point finite difference, roughly the observation
+    noise and sqrt(2)/dt times it.  The desired velocity starts equal to the
+    sampled velocity, matching an initialization from the first observed
+    finite-difference velocity.
     """
     position = np.asarray(position, dtype=np.float64)
     velocity = np.asarray(velocity, dtype=np.float64)
-    pos_s = noise.sigma_position if position_spread is None else position_spread
-    vel_s = noise.sigma_velocity if velocity_spread is None else velocity_spread
     states = np.empty((m, STATE_DIM))
-    states[:, 0:2] = position + rng.standard_normal((m, 2)) * pos_s
-    states[:, 2:4] = velocity + rng.standard_normal((m, 2)) * vel_s
+    states[:, 0:2] = position + rng.standard_normal((m, 2)) * position_spread
+    states[:, 2:4] = velocity + rng.standard_normal((m, 2)) * velocity_spread
     states[:, 4:6] = states[:, 2:4]
-    return ParticleSet(states, np.full(m, 1.0 / m), timestamp)
+    return ParticleSet(states, np.full(m, 1.0 / m))

@@ -91,30 +91,24 @@ class NoiseSpec:
 class CrowdContext:
     """Snapshot of the *other* agents at one reference time.
 
-    ``others`` holds the neighbours' mean states as rows of shape (n, 6)
-    and ``radii`` their disc radii, by default ``self_body.radius`` each.
-    The snapshot is frozen for a whole filter step so that all agents
-    update simultaneously from the same published means.  Treat instances
-    as immutable.
+    ``others`` holds the neighbours' mean states as rows of shape (n, 6);
+    each neighbour is a disc of ``self_body.radius``.  The snapshot is
+    frozen for a whole filter step so that all agents update simultaneously
+    from the same published means.  Treat instances as immutable.
     """
 
     def __init__(self, others=(), params: RvoParams = RvoParams(),
-                 self_body: BodySpec = BodySpec(), radii=None):
+                 self_body: BodySpec = BodySpec()):
         others = np.asarray(others, dtype=np.float64)
         if others.size == 0:
             others = others.reshape(0, STATE_DIM)
         if others.ndim != 2 or others.shape[1] != STATE_DIM:
             raise ValueError(f"others must have shape (n, {STATE_DIM})")
-        n = others.shape[0]
         self.params = params
         self.self_body = self_body
         self.neighbor_positions = others[:, 0:2].copy()
         self.neighbor_velocities = others[:, 2:4].copy()
-        if radii is None:
-            radii = np.full(n, self_body.radius)
-        self.neighbor_radii = np.array(radii, dtype=np.float64)
-        if self.neighbor_radii.shape != (n,):
-            raise ValueError("radii must hold one radius per neighbour")
+        self.neighbor_radii = np.full(others.shape[0], self_body.radius)
 
 
 def resolve_model(name: str) -> Tuple[str, bool]:
@@ -152,25 +146,24 @@ def predict_mean_batch(model: str, states: np.ndarray, ctx: CrowdContext, dt: fl
     return out
 
 
-def _clamp_speeds(states: np.ndarray, cap: float):
+def _clamp_speeds(states: np.ndarray):
     for sl in (slice(2, 4), slice(4, 6)):
         block = states[:, sl]
         norms = np.sqrt(np.sum(block * block, axis=1))
-        hot = norms > cap
+        hot = norms > SPEED_CAP
         if np.any(hot):
-            block[hot] *= (cap / norms[hot])[:, None]
+            block[hot] *= (SPEED_CAP / norms[hot])[:, None]
 
 
 def sample_transition_batch(model: str, states: np.ndarray, ctx: CrowdContext,
-                            noise: NoiseSpec, dt: float, rng: np.random.Generator,
-                            speed_cap: float = SPEED_CAP) -> np.ndarray:
+                            noise: NoiseSpec, dt: float, rng: np.random.Generator) -> np.ndarray:
     """Sample next states: prediction mean plus independent per-block Gaussian noise.
 
     The desired-velocity block is a pure diffusion.  Velocity and desired
-    velocity magnitudes are clamped to ``speed_cap``.
+    velocity magnitudes are clamped to `SPEED_CAP`.
     """
     means = predict_mean_batch(model, states, ctx, dt)
     eps = rng.standard_normal(means.shape)
     out = means + eps * noise.block_scales()
-    _clamp_speeds(out, speed_cap)
+    _clamp_speeds(out)
     return out

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdtrack import parse_trajectories
-from crowdtrack.bench import (PROTOCOL_KEYS, ConfigError, ProtocolConfig, configure,
-                              min_pairwise_separation)
+from crowdtrack.bench import PROTOCOL_KEYS, ConfigError, ProtocolConfig, configure
+from crowdtrack.data import min_pairwise_separation, parse_trajectories
 from crowdtrack.cli import GRID_PREFIX, RUN_KEYS, RunConfig, apply_setting, main
 
 
@@ -221,12 +220,14 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (TRACK + ["--obs-noise", "-0.3"], 2, "obs.noise"),
     (TRACK + ["--obs-noise", "nan"], 2, "obs.noise"),
     (TRACK + ["--obs-noise", "inf"], 2, "obs.noise"),
+    (PREDICT + ["--obs-noise", "1e308"], 2, "obs.noise"),
     (PREDICT + ["--set", "bench.prediction_horizons=0"], 2, "bench.prediction_horizons"),
     (PREDICT + ["--set", "bench.prediction_horizons=31"], 2, "bench.prediction_horizons"),
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -1], 2, "steps"),
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -5], 2, "steps"),
     (["simulate", "--kind", "corridor", "--agents", 0], 2, "agents"),
     (["simulate", "--kind", "circle", "--agents", 8, "--seed", 18], 2, "seed"),
+    (["simulate", "--kind", "circle", "--agents", 8, "--seed", 3, "--input", "f.csv"], 2, "input"),
     (["track", "--kind", "corridor", "--agents", 2, "--set", "hpf.m=20", "--steps", 5], 3, "horizon"),
     (["track", "--kind", "corridor", "--agents", 2, "--set", "hpf.m=20", "--steps", 0], 3, "horizon"),
     (["predict", "--input", "dt_abc.csv"], 4, "dt"),
@@ -237,6 +238,7 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
 ], ids=lambda v: v[-1] if isinstance(v, list) else None)
 def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, argv, code, key):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.csv").write_text(DT_ROWS)
     (tmp_path / "dt_abc.csv").write_text("# dt = abc\n" + DT_ROWS)
     (tmp_path / "dt_zero.csv").write_text("# dt = 0\n" + DT_ROWS)
     (tmp_path / "dt_inf.csv").write_text("# dt = inf\n" + DT_ROWS)
@@ -246,6 +248,21 @@ def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert {2: f"'{key}'", 3: key, 4: f"{key} must"}[code] in err
+
+
+@pytest.mark.parametrize("rows", [
+    # The squared norm of this error overflows, the error itself does not.
+    "0,0,0,0\n0,1,0,0\n1,0,0,0\n2,0,0,1.3407807929942597e+154\n",
+], ids=["error_1e154"])
+def test_trajectory_file_reports_finite_errors(tmp_path, rows):
+    (tmp_path / "in.csv").write_text("frame,id,x,y\n" + rows)
+    out = tmp_path / "out"
+    assert run(["predict", "--input", tmp_path / "in.csv", "--out", out, "--set", "hpf.m=8",
+                "--set", "bench.learn_steps=1", "--set", "bench.start_stride=1",
+                "--set", "bench.predict_steps=2", "--set", "bench.prediction_horizons=1,2"]) == 0
+    with open(out / "report.csv", encoding="utf-8") as fh:
+        cells = [row for row in csv.DictReader(fh) if int(row["n_trials"]) > 0]
+    assert cells and all(np.isfinite(float(row["mean_error_m"])) for row in cells)
 
 
 SETTING_KEYS = sorted(RUN_KEYS) + sorted(PROTOCOL_KEYS) + [GRID_PREFIX + k for k in sorted(PROTOCOL_KEYS)]

@@ -5,9 +5,8 @@ import pytest
 
 from crowdtrack import (BodySpec, corrupt, make_scenario, parse_trajectories,
                         write_trajectories)
-from crowdtrack.bench import min_pairwise_separation
 from crowdtrack.data import (EmptyFile, MalformedRow, NonMonotoneFrames, OverlappingScenario,
-                             simulate_goal_driven)
+                             min_pairwise_separation, simulate_goal_driven)
 
 
 def positions_digest(cases):

@@ -230,7 +230,7 @@ class TestHpfStep:
         history = FilterHistory(1)
         history.push(prior, empty_ctx())
         cfg = HpfConfig(order_k=1, pi=(1.0,), particles_m=80)
-        out_h, lambdas = hpf_step(history, empty_ctx(), obs, obs_model, cfg,
+        out_h, lambdas = hpf_step(history, history.context(1), obs, obs_model, cfg,
                                   "lin", noise, DT, np.random.default_rng(17))
         out_p = pf_step(prior, empty_ctx(), obs, obs_model, "lin", noise, DT,
                         np.random.default_rng(17))
@@ -242,7 +242,7 @@ class TestHpfStep:
         rng = np.random.default_rng(18)
         history = self._history(rng)
         cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=60)
-        _, lambdas = hpf_step(history, empty_ctx(), np.array([0.8, 0.0]),
+        _, lambdas = hpf_step(history, history.context(1), np.array([0.8, 0.0]),
                               GaussianPositionLikelihood(0.1), cfg, "lin",
                               NoiseSpec(), DT, rng)
         assert abs(lambdas.sum() - 1.0) < 1e-12
@@ -253,7 +253,7 @@ class TestHpfStep:
         history = self._history(rng, m=35)
         cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=35)
         pooled_states, pooled_w, lambdas, _, _ = mixture_update(
-            history, empty_ctx(), np.array([0.8, 0.0]),
+            history, np.array([0.8, 0.0]),
             GaussianPositionLikelihood(0.1), cfg, "lin", NoiseSpec(), DT, rng)
         assert pooled_states.shape == (70, 6)
         assert abs(pooled_w.sum() - 1.0) < 1e-9
@@ -263,7 +263,7 @@ class TestHpfStep:
         history = FilterHistory(2)
         history.push(cloud(rng, 30), empty_ctx())
         cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=30)
-        out, lambdas = hpf_step(history, empty_ctx(), np.array([0.4, 0.0]),
+        out, lambdas = hpf_step(history, history.context(1), np.array([0.4, 0.0]),
                                 GaussianPositionLikelihood(0.1), cfg, "lin",
                                 NoiseSpec(), DT, rng)
         assert lambdas.shape == (1,)
@@ -296,12 +296,12 @@ class TestHpfStep:
 
         history1 = self._history(np.random.default_rng(22), m=40)
         _, _, _, scores_base, _ = mixture_update(
-            history1, empty_ctx(), obs, base, cfg, "lin", noise, DT,
+            history1, obs, base, cfg, "lin", noise, DT,
             np.random.default_rng(23))
         history2 = self._history(np.random.default_rng(22), m=40)
         scaled = BlockScaledLikelihood(base, block=1, log_c=log_c)
         _, _, _, scores_scaled, _ = mixture_update(
-            history2, empty_ctx(), obs, scaled, cfg, "lin", noise, DT,
+            history2, obs, scaled, cfg, "lin", noise, DT,
             np.random.default_rng(23))
         assert abs((scores_scaled[1] - scores_base[1]) - log_c) < 1e-12
         assert abs(scores_scaled[0] - scores_base[0]) < 1e-12
@@ -323,7 +323,7 @@ class TestHpfStep:
         ratio_needed = 0.91 / 0.09
 
         def lambdas_for(obs_x):
-            _, lam = hpf_step(history, empty_ctx(), np.array([obs_x, 0.0]),
+            _, lam = hpf_step(history, history.context(1), np.array([obs_x, 0.0]),
                               obs_model, cfg, "lin", noise, DT,
                               np.random.default_rng(0))
             return lam
@@ -371,7 +371,7 @@ class TestHpfStep:
         obs_model = GaussianPositionLikelihood(sigma)
 
         pooled_states, pooled_w, lambdas, _, _ = mixture_update(
-            history, empty_ctx(), np.array([y, 0.0]), obs_model, cfg, "lin",
+            history, np.array([y, 0.0]), obs_model, cfg, "lin",
             noise, dt, np.random.default_rng(0))
 
         pred1 = p1 + v1 * dt
@@ -394,12 +394,21 @@ class TestHpfStep:
         rng = np.random.default_rng(24)
         history = self._history(rng, m=30)
         cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=30)
-        out, lambdas = hpf_step(history, empty_ctx(), np.array([1e5, 1e5]),
+        out, lambdas = hpf_step(history, history.context(1), np.array([1e5, 1e5]),
                                 GaussianPositionLikelihood(0.05), cfg, "lin",
                                 NoiseSpec(), DT, rng)
         assert out.flagged
         assert np.allclose(lambdas, [0.91, 0.09])
         assert out.size == 30
+
+    def test_ctx_must_be_the_newest_stored_context(self):
+        history = self._history(np.random.default_rng(25), m=10)
+        cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=10)
+        # An equal-valued copy is rejected too: propagation reads the stored contexts.
+        for ctx in (empty_ctx(), history.context(2)):
+            with pytest.raises(ValueError, match="ctx"):
+                hpf_step(history, ctx, np.array([0.4, 0.0]), GaussianPositionLikelihood(0.1),
+                         cfg, "lin", NoiseSpec(), DT, np.random.default_rng(0))
 
 
 class TestConfigValidation:

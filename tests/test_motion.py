@@ -66,8 +66,7 @@ class TestPredictMean:
         other = state([2.0, -2.0], [0.0, 1.0])
         params = RvoParams(time_horizon_tau=2.0, dt=0.4)
         body = BodySpec(radius=0.3, max_speed=2.0)
-        ctx = CrowdContext(others=[other], params=params, self_body=body,
-                           radii=[body.radius])
+        ctx = CrowdContext(others=[other], params=params, self_body=body)
         out = predict("rvo", me, ctx)
         agents = [AgentBody(me[0:2], me[2:4], body.radius, body.max_speed),
                   AgentBody(other[0:2], other[2:4], body.radius, body.max_speed)]
@@ -127,8 +126,7 @@ class TestRvoDelegatedInvariant:
                        d=rng.uniform(-1, 1, 2))
             other_pos = me[0:2] + rng.uniform(1.0, 4.0) * _unit(rng)
             other = state(other_pos, rng.uniform(-1, 1, 2))
-            ctx = CrowdContext(others=[other], params=params, self_body=body,
-                               radii=[body.radius])
+            ctx = CrowdContext(others=[other], params=params, self_body=body)
             out = predict("rvo", me, ctx)
             point, normal = np.empty((1, 2)), np.empty((1, 2))
             assert build_halfplanes(*me[0:4], body.radius, other[None, 0:2], other[None, 2:4],
@@ -157,5 +155,3 @@ class TestContextValidation:
         assert np.array_equal(ctx.neighbor_radii, [0.2, 0.2])
         with pytest.raises(ValueError):
             CrowdContext(others=np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            CrowdContext(others=np.zeros((2, 6)), radii=[0.3])
