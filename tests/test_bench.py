@@ -142,6 +142,46 @@ class TestTrackingProtocol:
             run_tracking_protocol(scenario, trace, "lin", "pf", cfg, seed=0)
 
 
+def ragged_scenario():
+    """45 frames; agent 2 enters at frame 5 and leaves after frame 30."""
+    frames = []
+    for t in range(45):
+        entries = [(0, np.array([0.5 * t, 0.0])), (1, np.array([20.0 - 0.45 * t, 0.5]))]
+        if 5 <= t <= 30:
+            entries.append((2, np.array([8.0, -6.0 + 0.5 * t])))
+        frames.append(Frame(t, entries))
+    return Scenario(dt=0.4, frames=frames, name="ragged")
+
+
+def reports_digest():
+    """SHA-256 of PF and HPF tracking outcomes and prediction rows (without a
+    trace and with the noisy one) on corridor-3 and the ragged scenario."""
+    cfg = ProtocolConfig(hpf=HpfConfig(2, (0.91, 0.09), 60), sigma_obs=0.15)
+    digest = hashlib.sha256()
+    for scenario in (make_scenario("corridor", 3, seed=0), ragged_scenario()):
+        trace = corrupt(scenario, 0.3, [(0, 6, 2)], seed=1)
+        for kind in ("pf", "hpf"):
+            report = run_tracking_protocol(scenario, trace, "rvo+", kind, cfg, seed=2)
+            for o in report.outcomes:
+                digest.update(f"{o.agent_id},{o.start},{o.horizon},{o.kind},"
+                              f"{o.distance!r}\n".encode())
+            for observed in (None, trace):
+                report = run_prediction_protocol(scenario, "rvo+", kind, cfg, seed=3,
+                                                 trace=observed)
+                for r in report.rows:
+                    digest.update(f"{r.horizon},{r.mean_error_m!r},{r.n_trials}\n".encode())
+    return digest.hexdigest()
+
+
+class TestReports:
+    # A refactor of how observations reach the filters must reproduce every
+    # report bit for bit, not just closely.
+    REPORT_PIN = "c7537412396d5fb0d290fafa3e2083e041ca5ad51b999df18dd670a92a1768f0"
+
+    def test_reports_are_bitwise_pinned(self):
+        assert reports_digest() == self.REPORT_PIN
+
+
 def four_walkers(model, body=BodySpec()):
     """A tracker over two crossing head-on pairs, at its initial means."""
     fixes = {0: ([-3.0, 0.1], [1.2, 0.0]), 1: ([3.0, -0.1], [-1.2, 0.0]),
