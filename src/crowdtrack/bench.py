@@ -202,7 +202,8 @@ class JointTracker:
     def step(self, observations: Dict[int, Optional[np.ndarray]], obs_model):
         """Advance every agent one frame.
 
-        ``observations`` maps agent id to a position or None (occluded).
+        ``observations`` maps agent id to a position or None (occluded); an
+        id it lacks reads as None, so a trace frame is passed as it is.
         """
         self._publish([
             hpf_step(history, history.context(1), observations.get(agent_id), obs_model,
@@ -375,14 +376,6 @@ def configure(base: ProtocolConfig, settings: Dict[str, object]) -> ProtocolConf
     return build("", base, top)
 
 
-def _observation_at(scenario: Scenario, trace: Optional[ObservationTrace],
-                    frame_pos: int, agent_id: int) -> Optional[np.ndarray]:
-    if trace is None:
-        return scenario.frames[frame_pos].position_of(agent_id)
-    obs = trace.get(frame_pos, agent_id)
-    return None if obs is None else obs.position
-
-
 def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
                             filter_kind: str = "hpf",
                             cfg: Optional[ProtocolConfig] = None, seed: int = 0,
@@ -390,14 +383,16 @@ def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
     """Two-phase learn/predict evaluation over a scenario.
 
     From every ``start_stride``-th frame: agents present through the whole
-    learning window are filtered on observations (ground-truth positions, or
-    the supplied trace) for ``learn_steps`` frames, then extrapolated open
-    loop without observations; the Euclidean error of the published mean at
-    each horizon is averaged over all (trial, agent) pairs that reach it.
+    learning window are filtered for ``learn_steps`` frames on observations,
+    ground-truth positions or ``trace.frames[k]`` ({agent id: position, or
+    None while occluded}), then extrapolated open loop without observations;
+    the Euclidean error of the published mean at each horizon is averaged
+    over all (trial, agent) pairs that reach it.
     """
     cfg = cfg or ProtocolConfig()
     obs_model = GaussianPositionLikelihood(cfg.sigma_obs)
     tracks = scenario.positions_by_agent()
+    observed = [dict(f.entries) for f in scenario.frames] if trace is None else trace.frames
     n = scenario.n_frames
     errors: Dict[int, List[float]] = {h: [] for h in cfg.prediction_horizons}
     rng = np.random.default_rng(seed)
@@ -414,8 +409,8 @@ def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
         init = {}
         skip = False
         for agent_id in eligible:
-            p0 = _observation_at(scenario, trace, t0, agent_id)
-            p1 = _observation_at(scenario, trace, t0 + 1, agent_id)
+            p0 = observed[t0].get(agent_id)
+            p1 = observed[t0 + 1].get(agent_id)
             if p0 is None or p1 is None:
                 skip = True
                 break
@@ -427,9 +422,7 @@ def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
         tracker = JointTracker(init, model, filter_kind, cfg.hpf, cfg.noise,
                                cfg.params, rng, cfg.body, spread)
         for t in range(t0 + 1, learn_end + 1):
-            obs = {agent_id: _observation_at(scenario, trace, t, agent_id)
-                   for agent_id in eligible}
-            tracker.step(obs, obs_model)
+            tracker.step(observed[t], obs_model)
         available = min(cfg.predict_steps, n - 1 - learn_end)
         predicted = tracker.rollout_means(available)
         for step in range(1, available + 1):
@@ -462,9 +455,9 @@ def run_tracking_protocol(scenario: Scenario, trace: ObservationTrace,
     """Replay a trace, classify each track at the configured horizons.
 
     Trackers start from ground-truth positions at every ``start_stride``-th
-    frame and run for at most ``track_steps`` frames on the (noisy,
-    occluded) observations; each horizon where the agent's ground truth
-    still exists yields one outcome.
+    frame and run for at most ``track_steps`` frames on the observations
+    ``trace.frames[k]`` ({agent id: position, or None while occluded}); each
+    horizon where the agent's ground truth still exists yields one outcome.
     """
     cfg = cfg or ProtocolConfig()
     obs_model = GaussianPositionLikelihood(cfg.sigma_obs)
@@ -483,7 +476,7 @@ def run_tracking_protocol(scenario: Scenario, trace: ObservationTrace,
         init = {}
         for agent_id in agents:
             p0 = tracks[agent_id][t0]
-            obs1 = _observation_at(scenario, trace, t0 + 1, agent_id)
+            obs1 = trace.frames[t0 + 1].get(agent_id)
             v0 = np.zeros(2) if obs1 is None else (obs1 - p0) / scenario.dt
             init[agent_id] = (p0, v0)
         spread = cfg.resolve_init_spread(scenario.dt, exact_observations=False)
@@ -492,9 +485,7 @@ def run_tracking_protocol(scenario: Scenario, trace: ObservationTrace,
         horizon = min(cfg.track_steps, n - 1 - t0)
         for step in range(1, horizon + 1):
             t = t0 + step
-            obs = {agent_id: _observation_at(scenario, trace, t, agent_id)
-                   for agent_id in agents if t in tracks[agent_id]}
-            tracker.step(obs, obs_model)
+            tracker.step(trace.frames[t], obs_model)
             if step in cfg.tracking_horizons:
                 frame = scenario.frames[t]
                 for agent_id in agents:

@@ -130,6 +130,22 @@ RUN_KEYS: Dict[str, Key] = {
     "sweep.seeds": Key("sweep_seeds", parse_ints, echo_list),
 }
 
+#: Command-line flags as (flag, key, help); each value is parsed as its key's.
+FLAGS = (
+    ("--model", "model", "lin, lin+, rvo or rvo+"),
+    ("--filter", "filter", "pf or hpf"),
+    ("--seed", "seed", "random seed"),
+    ("--kind", "kind", "head_on, crossing, circle or corridor"),
+    ("--agents", "agents", "number of agents"),
+    ("--steps", "steps", "number of simulated steps"),
+    ("--input", "input", "trajectory file to load"),
+    ("--format", "format", "csv-fixy or obsmat"),
+    ("--out", "out", "output directory"),
+    ("--k", "hpf.k", "mixture order (hpf.k)"),
+    ("--obs-noise", "obs.noise", "observation noise added to the trace (m)"),
+    ("--occlusions", "occlusions", "id:start:len[;id:start:len...]"),
+)
+
 GRID_PREFIX = "sweep.grid."
 
 
@@ -183,17 +199,10 @@ def load_config_file(cfg: RunConfig, path: str) -> RunConfig:
 
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    direct = {
-        "model": args.model, "filter": args.filter, "seed": args.seed,
-        "kind": args.kind, "agents": args.agents, "steps": args.steps,
-        "input": args.input, "format": args.format, "out": args.out,
-        "hpf.k": getattr(args, "k", None),
-        "obs.noise": getattr(args, "obs_noise", None),
-        "occlusions": getattr(args, "occlusions", None),
-    }
-    for key, value in direct.items():
+    for _, key, _ in FLAGS:
+        value = getattr(args, key)
         if value is not None:
-            cfg = apply_setting(cfg, key, str(value))
+            cfg = apply_setting(cfg, key, value)
     for setting in args.set or []:
         if "=" not in setting:
             raise ConfigError("--set", f"expected key=value, got '{setting}'")
@@ -327,19 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.set_defaults(func=func)
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--model", help="lin, lin+, rvo or rvo+")
-        p.add_argument("--filter", help="pf or hpf")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--kind", help="head_on, crossing, circle or corridor")
-        p.add_argument("--agents", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--input", help="trajectory file to load")
-        p.add_argument("--format", choices=("csv-fixy", "obsmat"))
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--k", type=int, help="mixture order (hpf.k)")
-        p.add_argument("--obs-noise", type=float, dest="obs_noise",
-                       help="observation noise added to the trace (m)")
-        p.add_argument("--occlusions", help="id:start:len[;id:start:len...]")
+        for flag, key, help_text in FLAGS:
+            p.add_argument(flag, dest=key, help=help_text)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any dotted config key")
     return parser

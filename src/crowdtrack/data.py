@@ -59,12 +59,6 @@ class Frame:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate agent ids in frame {self.time_index}")
 
-    def position_of(self, agent_id: int) -> Optional[np.ndarray]:
-        for aid, pos in self.entries:
-            if aid == agent_id:
-                return pos
-        return None
-
     @property
     def ids(self):
         return [agent_id for agent_id, _ in self.entries]
@@ -114,21 +108,15 @@ class Scenario:
 
 
 @dataclass
-class Observation:
-    """One (possibly missing) position measurement with its provenance tag."""
-
-    position: Optional[np.ndarray]
-    tag: str  # clean | noisy | occluded
-
-
-@dataclass
 class ObservationTrace:
-    """Per-frame, per-agent observations aligned to a scenario's frames."""
+    """Observations aligned to a scenario's frames.
 
-    frames: List[Dict[int, Observation]]
+    ``frames[k]`` maps each agent id of the scenario's k-th frame to its
+    observed position, or to None while it is occluded: the map
+    `JointTracker.step` takes.
+    """
 
-    def get(self, frame_pos: int, agent_id: int) -> Optional[Observation]:
-        return self.frames[frame_pos].get(agent_id)
+    frames: List[Dict[int, Optional[np.ndarray]]]
 
 
 def _parse_meta(line: str):
@@ -186,8 +174,6 @@ def _parse_csv_fixy(text: str, name: str) -> Scenario:
             frames[-1].entries.append((agent_id, np.array([x, y])))
         else:
             frames.append(Frame(frame_idx, [(agent_id, np.array([x, y]))]))
-    # Re-validate per-frame id uniqueness after grouping.
-    frames = [Frame(f.time_index, f.entries) for f in frames]
     raw_dt = meta.pop("dt", "0.4")
     try:
         dt = float(raw_dt)
@@ -452,34 +438,31 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
 @np.errstate(over="ignore")
 def corrupt(scenario: Scenario, noise_sigma: float,
             occlusions: Sequence[Tuple[int, int, int]] = (), seed: int = 0) -> ObservationTrace:
-    """Noisy/occluded observation stream for a scenario.
+    """Noisy/occluded observation trace for a scenario (see `ObservationTrace`).
 
     ``occlusions`` entries are (agent_id, start, length) in frame positions;
-    occluded entries keep no position.  Deterministic per seed.  Raises
-    `NonFiniteMotion` when the noisy positions fail `parse_trajectories`'
-    finite-motion rule.
+    an occluded agent is observed as None.  Deterministic per seed.  Raises
+    ``ValueError`` on a window outside the span or for an agent id in no
+    frame, and `NonFiniteMotion` when the noisy positions fail
+    `parse_trajectories`' finite-motion rule.
     """
     n = scenario.n_frames
-    for agent_id, start, length in occlusions:
-        if start < 0 or length < 0 or start + length > n:
-            raise ValueError(f"occlusion window ({agent_id}, {start}, {length}) outside scenario span")
+    agent_ids = set(scenario.agent_ids)
     occluded = set()
     for agent_id, start, length in occlusions:
-        for k in range(start, start + length):
-            occluded.add((k, agent_id))
+        window = f"occlusion window ({agent_id}, {start}, {length})"
+        if start < 0 or length < 0 or start + length > n:
+            raise ValueError(f"{window} outside scenario span")
+        if agent_id not in agent_ids:
+            raise ValueError(f"{window} names agent {agent_id}, which appears in no frame")
+        occluded.update((k, agent_id) for k in range(start, start + length))
     rng = np.random.default_rng(seed)
-    tag = "clean" if noise_sigma == 0.0 else "noisy"
     frames = []
     for k, frame in enumerate(scenario.frames):
-        obs = {}
-        for agent_id, pos in frame.entries:
-            if (k, agent_id) in occluded:
-                obs[agent_id] = Observation(None, "occluded")
-            else:
-                noisy = pos + rng.standard_normal(2) * noise_sigma
-                obs[agent_id] = Observation(noisy, tag)
-        frames.append(obs)
+        frames.append({agent_id: None if (k, agent_id) in occluded
+                       else pos + rng.standard_normal(2) * noise_sigma
+                       for agent_id, pos in frame.entries})
     _check_finite_motion(scenario.dt, [
-        (frame.time_index, {agent_id: o.position for agent_id, o in obs.items() if o.position is not None})
-        for frame, obs in zip(scenario.frames, frames)])
+        (frame.time_index, {agent_id: pos for agent_id, pos in observed.items() if pos is not None})
+        for frame, observed in zip(scenario.frames, frames)])
     return ObservationTrace(frames)

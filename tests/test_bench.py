@@ -7,7 +7,7 @@ from crowdtrack import (BodySpec, HpfConfig, NoiseSpec, RvoParams, Scenario,
                         classify_track, corrupt, crowd_step, make_scenario,
                         run_prediction_protocol, run_tracking_protocol, sweep)
 from crowdtrack.bench import JointTracker, NoEligibleTrials, ProtocolConfig
-from crowdtrack.data import Frame, ObservationTrace, Observation
+from crowdtrack.data import Frame, ObservationTrace
 
 
 def linear_scenario(n_frames=50, speed=1.3, lanes=(0.0,), dt=0.4):
@@ -110,10 +110,11 @@ class TestTrackingProtocol:
         swap_from = 8
         frames = []
         for k, frame in enumerate(scenario.frames):
+            positions = dict(frame.entries)
             obs = {}
-            for agent_id, pos in frame.entries:
+            for agent_id in positions:
                 source = agent_id if k < swap_from else 1 - agent_id
-                obs[agent_id] = Observation(frame.position_of(source).copy(), "clean")
+                obs[agent_id] = positions[source].copy()
             frames.append(obs)
         trace = ObservationTrace(frames)
         cfg = ProtocolConfig(hpf=HpfConfig(order_k=1, pi=(1.0,), particles_m=200),
@@ -174,8 +175,8 @@ def reports_digest():
 
 
 class TestReports:
-    # A refactor of how observations reach the filters must reproduce every
-    # report bit for bit, not just closely.
+    # SHA-256 of reports_digest().  A refactor of the protocols' numeric path
+    # must reproduce every report bit for bit, not just closely.
     REPORT_PIN = "c7537412396d5fb0d290fafa3e2083e041ca5ad51b999df18dd670a92a1768f0"
 
     def test_reports_are_bitwise_pinned(self):

@@ -220,12 +220,17 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (TRACK + ["--obs-noise", "-0.3"], 2, "obs.noise"),
     (TRACK + ["--obs-noise", "nan"], 2, "obs.noise"),
     (TRACK + ["--obs-noise", "inf"], 2, "obs.noise"),
+    (TRACK + ["--obs-noise", "x"], 2, "obs.noise"),
+    (TRACK + ["--occlusions", "9:2:2"], 2, "occlusions"),
+    (TRACK + ["--k", "x"], 2, "hpf.k"),
+    (PREDICT + ["--format", "xml"], 2, "format"),
     (PREDICT + ["--obs-noise", "1e308"], 2, "obs.noise"),
     (PREDICT + ["--set", "bench.prediction_horizons=0"], 2, "bench.prediction_horizons"),
     (PREDICT + ["--set", "bench.prediction_horizons=31"], 2, "bench.prediction_horizons"),
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -1], 2, "steps"),
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -5], 2, "steps"),
     (["simulate", "--kind", "corridor", "--agents", 0], 2, "agents"),
+    (["simulate", "--kind", "corridor", "--agents", "abc"], 2, "agents"),
     (["simulate", "--kind", "circle", "--agents", 8, "--seed", 18], 2, "seed"),
     (["simulate", "--kind", "circle", "--agents", 8, "--seed", 3, "--input", "f.csv"], 2, "input"),
     (["track", "--kind", "corridor", "--agents", 2, "--set", "hpf.m=20", "--steps", 5], 3, "horizon"),

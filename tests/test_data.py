@@ -26,9 +26,9 @@ class TestParseCsvFixy:
         s = parse_trajectories(path)
         assert s.n_frames == 2
         assert s.agent_ids == [1, 2]
-        assert np.allclose(s.frames[0].position_of(1), [1.5, 2.5])
-        assert np.allclose(s.frames[0].position_of(2), [-1.0, 0.0])
-        assert np.allclose(s.frames[1].position_of(1), [1.9, 2.5])
+        assert np.allclose(dict(s.frames[0].entries)[1], [1.5, 2.5])
+        assert np.allclose(dict(s.frames[0].entries)[2], [-1.0, 0.0])
+        assert np.allclose(dict(s.frames[1].entries)[1], [1.9, 2.5])
         assert s.dt == 0.4
 
     def test_duplicate_frame_id_names_line(self, tmp_path):
@@ -91,8 +91,8 @@ class TestParseObsmat:
         path.write_text("\n".join(rows) + "\n")
         s = parse_trajectories(path, fmt="obsmat")
         assert s.n_frames == 2
-        assert np.allclose(s.frames[0].position_of(1), [10.0, 5.0])
-        assert np.allclose(s.frames[0].position_of(2), [-3.5, 2.25])
+        assert np.allclose(dict(s.frames[0].entries)[1], [10.0, 5.0])
+        assert np.allclose(dict(s.frames[0].entries)[2], [-3.5, 2.25])
         assert s.frames[0].time_index == 0 and s.frames[1].time_index == 1
 
     def test_wrong_column_count(self, tmp_path):
@@ -113,9 +113,8 @@ class TestMakeScenario:
     def test_head_on_pair_mirror_and_separated(self):
         s = make_scenario("head_on", 2, seed=0)
         for frame in s.frames:
-            p0 = frame.position_of(0)
-            p1 = frame.position_of(1)
-            assert np.allclose(p0, -p1, atol=1e-9)
+            positions = dict(frame.entries)
+            assert np.allclose(positions[0], -positions[1], atol=1e-9)
         assert min_pairwise_separation(s) >= 0.4 - 1e-9
 
     def test_circle_agents_reach_antipodal_goals(self):
@@ -123,7 +122,7 @@ class TestMakeScenario:
         last = s.frames[-1]
         for agent_id in range(8):
             goal = s.goal_of(agent_id)
-            assert np.linalg.norm(last.position_of(agent_id) - goal) < 0.2
+            assert np.linalg.norm(dict(last.entries)[agent_id] - goal) < 0.2
 
     def test_all_kinds_collision_free(self):
         for kind, n in (("head_on", 4), ("crossing", 4), ("circle", 8), ("corridor", 3)):
@@ -173,19 +172,15 @@ class TestCorrupt:
         trace = corrupt(s, 0.0, (), seed=1)
         for k, frame in enumerate(s.frames):
             for agent_id, pos in frame.entries:
-                obs = trace.get(k, agent_id)
-                assert obs.tag == "clean"
-                assert np.array_equal(obs.position, pos)
+                assert np.array_equal(trace.frames[k][agent_id], pos)
 
     def test_occlusion_bookkeeping(self):
         s = make_scenario("head_on", 2, seed=0, steps=20)
         trace = corrupt(s, 0.0, [(1, 10, 3)], seed=1)
-        absent = [k for k in range(s.n_frames)
-                  if trace.get(k, 1).position is None]
+        absent = [k for k in range(s.n_frames) if trace.frames[k][1] is None]
         assert absent == [10, 11, 12]
         for k in absent:
-            assert trace.get(k, 1).tag == "occluded"
-            assert trace.get(k, 0).position is not None
+            assert trace.frames[k][0] is not None
 
     def test_noise_moments(self):
         s = make_scenario("corridor", 5, seed=3, steps=2000)
@@ -193,9 +188,7 @@ class TestCorrupt:
         deltas = []
         for k, frame in enumerate(s.frames):
             for agent_id, pos in frame.entries:
-                obs = trace.get(k, agent_id)
-                assert obs.tag == "noisy"
-                deltas.append(obs.position - pos)
+                deltas.append(trace.frames[k][agent_id] - pos)
         deltas = np.array(deltas)
         assert deltas.shape[0] >= 10000
         assert abs(deltas.std() - 0.1) < 0.002
@@ -211,9 +204,8 @@ class TestCorrupt:
         t2 = corrupt(s, 0.2, [(0, 2, 2)], seed=9)
         for k in range(s.n_frames):
             for agent_id in (0, 1):
-                a, b = t1.get(k, agent_id), t2.get(k, agent_id)
-                assert a.tag == b.tag
-                if a.position is None:
-                    assert b.position is None
+                a, b = t1.frames[k][agent_id], t2.frames[k][agent_id]
+                if a is None:
+                    assert b is None
                 else:
-                    assert np.array_equal(a.position, b.position)
+                    assert np.array_equal(a, b)
