@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import ObservationTrace, Scenario
+from .data import NonFiniteMotion, ObservationTrace, Scenario
 from .filters import FilterHistory, HpfConfig, ParticleSet, hpf_step, init_particles
 from .motion import BodySpec, CrowdContext, NoiseSpec, resolve_model
 from .rvo import RvoParams, crowd_step
@@ -195,6 +195,8 @@ class JointTracker:
     def _publish(self, sets: Sequence[ParticleSet]):
         """Publish the sets' means; push each set with the other agents' means beside it."""
         self.means = np.array([pset.weights @ pset.states for pset in sets])
+        if not np.isfinite(self.means).all():
+            raise NonFiniteMotion("a filter's mean state overflowed to a non-finite value")
         for i, pset in enumerate(sets):
             others = np.delete(self.means, i, axis=0)
             self.histories[i].push(pset, CrowdContext(others, self.params, self.body))

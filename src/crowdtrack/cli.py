@@ -6,7 +6,7 @@ command-line flags, echoed verbatim into the output directory so reruns are
 reproducible byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 no eligible trials,
-4 I/O error.
+4 I/O error or an input whose motion makes a filter mean non-finite.
 """
 
 from __future__ import annotations
@@ -358,6 +358,9 @@ def main(argv=None) -> int:
     except NoEligibleTrials as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_TRIALS
+    except NonFiniteMotion as exc:
+        print(f"error: cannot filter '{cfg.input or cfg.kind}': {exc}", file=sys.stderr)
+        return EXIT_IO
     except IOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

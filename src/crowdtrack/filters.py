@@ -8,6 +8,9 @@ of block j is proportional to its prior weight times the marginal
 likelihood of the current observation under that block, so blocks that
 explain the observation better dominate.  All weight arithmetic happens in
 log space.
+
+A step draws K(K+1)/2 transitions with one motion-mean call per stored context,
+reusing the one-hop means block 1 computed earlier: at K=2, one call of 2M rows.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from typing import Protocol, Tuple
 
 import numpy as np
 
-from .motion import AgentState, CrowdContext, NoiseSpec, STATE_DIM, sample_transition_batch
+from .motion import (AgentState, CrowdContext, NoiseSpec, STATE_DIM, predict_mean_batch,
+                     sample_transition_batch, step_mean)
 
 #: Below this max log-likelihood a step is treated as carrying no information.
 LOG_UNDERFLOW = -700.0
@@ -100,31 +104,33 @@ class FilterHistory:
 
     Entry j=1 is the newest (time t-1), j=len(history) the oldest.  The context
     stored with a posterior describes the other agents at that same time, so
-    propagating from t-j to t-j+1 uses the context stored at t-j.
+    propagating from t-j to t-j+1 uses the context stored at t-j.  Entries memoize
+    one-hop means (`predict_blocks`), so pushed posteriors and contexts must stay unchanged.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
         self._entries = deque(maxlen=capacity)
 
     def push(self, posterior: ParticleSet, ctx: CrowdContext):
-        self._entries.append((posterior, ctx))
+        self._entries.append((posterior, ctx, {}))
 
     def __len__(self):
         return len(self._entries)
 
     def posterior(self, j: int) -> ParticleSet:
-        self._check(j)
-        return self._entries[-j][0]
+        return self._entry(j)[0]
 
     def context(self, j: int) -> CrowdContext:
-        self._check(j)
-        return self._entries[-j][1]
+        return self._entry(j)[1]
 
-    def _check(self, j: int):
+    def _entry(self, j: int):
+        """Entry j: (posterior, context, {(model, dt): one-hop mean velocities (M, 2)})."""
         if not (1 <= j <= len(self._entries)):
             raise InsufficientHistory(f"requested {j} steps back, have {len(self._entries)}")
+        return self._entries[-j]
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -169,19 +175,33 @@ def posterior_mean(pset: ParticleSet) -> AgentState:
     return AgentState.from_array(pset.weights @ pset.states)
 
 
-def hpf_predict_j(history: FilterHistory, j: int, model: str, noise: NoiseSpec,
-                  dt: float, rng: np.random.Generator) -> ParticleSet:
-    """Propagate the posterior from j steps back through j single transitions.
+def predict_blocks(history: FilterHistory, k: int, model: str, noise: NoiseSpec,
+                   dt: float, rng: np.random.Generator):
+    """The k predicted (M, 6) blocks: block j is posterior(j) through j transitions.
 
-    Each hop uses the crowd context stored alongside the posterior of the
-    time it starts from (the other agents' published means then).  The
-    returned set keeps the source weights.
-    """
-    source = history.posterior(j)
-    states = source.states
-    for back in range(j, 0, -1):
-        states = sample_transition_batch(model, states, history.context(back), noise, dt, rng)
-    return ParticleSet(states, source.weights.copy(), source.timestamp + j, source.flagged)
+    Normals are drawn first, in a per-block loop's order; then one
+    `predict_mean_batch` call per level ``back`` = k..1 covers all hops from
+    context ``back``; block ``back``'s first hop is read from entry ``back``'s memo,
+    or computed and kept there unless the next push drops that entry."""
+    m = history.posterior(k).size
+    eps = rng.standard_normal((k * (k + 1) // 2, m, STATE_DIM))
+    key, blocks = (model, dt), [None] * (k + 1)
+    for back in range(k, 0, -1):
+        source, ctx, memo = history._entry(back)
+        last = back == history.capacity  # the entry leaves at the next push
+        first = memo.pop(key, None) if last else memo.get(key)
+        rows = ([source.states] if first is None else []) + blocks[back + 1:]
+        means = [] if first is None else [step_mean(source.states, first, dt)]
+        if rows:
+            rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+            means.append(predict_mean_batch(model, rows, ctx, dt))
+        if first is None and not last:
+            memo[key] = means[0][:m, 2:4].copy()
+        picks = [j * (j - 1) // 2 + j - back for j in range(back, k + 1)]
+        means = means[0] if len(means) == 1 else np.concatenate(means)
+        out = sample_transition_batch(means, eps[picks].reshape(-1, STATE_DIM), noise)
+        blocks[back:] = out.reshape(-1, m, STATE_DIM)
+    return blocks[1:]
 
 
 def mixture_update(history: FilterHistory, obs, obs_model: ObservationModel,
@@ -200,22 +220,15 @@ def mixture_update(history: FilterHistory, obs, obs_model: ObservationModel,
     pi = np.asarray(cfg.pi[:k_eff], dtype=np.float64)
     pi = pi / pi.sum()
 
-    block_states = []
-    block_logprior = []
-    block_logw = []
-    best_loglik = -np.inf
-    for j in range(1, k_eff + 1):
-        predicted = hpf_predict_j(history, j, model, noise, dt, rng)
-        loglik = np.asarray(obs_model.log_likelihood(obs, predicted.states), dtype=np.float64)
-        best_loglik = max(best_loglik, float(np.max(loglik)))
-        prior_w = predicted.weights
-        with np.errstate(divide="ignore"):
-            log_prior = np.where(prior_w > 0.0, np.log(np.maximum(prior_w, 1e-300)), -np.inf)
-        block_states.append(predicted.states)
-        block_logprior.append(log_prior)
-        block_logw.append(log_prior + loglik)
-
-    flagged = best_loglik < LOG_UNDERFLOW
+    block_states = predict_blocks(history, k_eff, model, noise, dt, rng)
+    logliks = [np.asarray(obs_model.log_likelihood(obs, states), dtype=np.float64)
+               for states in block_states]
+    with np.errstate(divide="ignore"):
+        block_logprior = [np.where(w > 0.0, np.log(np.maximum(w, 1e-300)), -np.inf)
+                          for w in (history.posterior(j).weights for j in range(1, k_eff + 1))]
+    block_logw = [log_prior + loglik for log_prior, loglik in zip(block_logprior, logliks)]
+    # A fold from -inf, as max(best, x) block by block: a NaN block is skipped.
+    flagged = max([-np.inf] + [float(np.max(loglik)) for loglik in logliks]) < LOG_UNDERFLOW
     if flagged:
         # No block explains the observation at all: drop the likelihood and
         # keep the pure prediction so the filter survives the frame.
@@ -226,11 +239,9 @@ def mixture_update(history: FilterHistory, obs, obs_model: ObservationModel,
 
     lambdas = _normalize_log(log_scores)
 
-    m = history.posterior(1).size
     pooled_states = np.vstack(block_states)
-    pooled_weights = np.empty(k_eff * m)
-    for j in range(k_eff):
-        pooled_weights[j * m:(j + 1) * m] = lambdas[j] * _normalize_log(block_logw[j])
+    pooled_weights = np.concatenate([lam * _normalize_log(logw)
+                                     for lam, logw in zip(lambdas, block_logw)])
     pooled_weights /= pooled_weights.sum()
     return pooled_states, pooled_weights, lambdas, log_scores, flagged
 

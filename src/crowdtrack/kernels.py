@@ -370,105 +370,106 @@ def rvo_velocity_batch(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
 
 # ---------------------------------------------------------------------------
 # Vectorised batch path.  Each function below is the elementwise twin of a
-# scalar kernel above: every ``if`` is an ``np.where`` on the same predicate,
-# over the same expressions in the same operand order, so each element is
-# computed with exactly the scalar code's floating-point operations.  Arrays
-# are (rows, neighbours); neighbour slots out of range stay in place and are
-# masked, where the scalar code compacts them away.
+# scalar kernel above: every ``if`` is an ``np.where`` or masked write on the
+# same predicate, over the same expressions in the same operand order, so each
+# element is computed with exactly the scalar code's floating-point operations.
+# Arrays are (rows, neighbours), or (2, rows, neighbours) for vectors; slots out of
+# range are masked.  Temporaries die at their last use (peak: ~17 such arrays).
 
-def _vo_closest_boundary_rows(rel_px, rel_py, radius_sum, tau, vx, vy):
-    """Elementwise :func:`vo_closest_boundary` (NaN where |x| = 0)."""
-    cx = rel_px / tau
-    cy = rel_py / tau
+def _vo_closest_boundary_rows(x, p, nbr_pos, radius_sum, tau, v):
+    """Elementwise :func:`vo_closest_boundary` of x = nbr_pos - p, which it overwrites:
+    (u, n), NaN where |x| = 0.  The centre x / tau is computed again at the end."""
+    def leg(d):
+        """Offset s of the closest point s * d on a leg, and its distance to v."""
+        s = v[0] * d[0] + v[1] * d[1]
+        s = np.where(s < tangent_dist, tangent_dist, s)
+        ex = s * d[0] - v[0]
+        ex *= ex
+        ey = s * d[1]
+        ey -= v[1]
+        ex += np.multiply(ey, ey, out=ey)
+        return s, np.sqrt(ex, out=ex)
+
+    c = np.divide(x, tau, out=x)
     rho = radius_sum / tau
-    c_norm = np.sqrt(cx * cx + cy * cy)
-    ax = cx / c_norm
-    ay = cy / c_norm
+    c_norm = np.sqrt(c[0] * c[0] + c[1] * c[1])
+    a = c / c_norm
     sin_half = rho / c_norm
-    cos2 = 1.0 - sin_half * sin_half
-    cos2 = np.where(cos2 < 0.0, 0.0, cos2)
-    cos_half = np.sqrt(cos2)
+    cos_half = 1.0 - sin_half * sin_half
+    cos_half = np.sqrt(np.where(cos_half < 0.0, 0.0, cos_half))
     tangent_dist = c_norm * cos_half
+    wu = np.subtract(v, c, out=c)
+    w_norm = np.sqrt(wu[0] * wu[0] + wu[1] * wu[1])
+    at_center = w_norm < 1e-300
+    wu /= w_norm
+    np.negative(a, out=wu, where=at_center)
+    w_norm[at_center] = 0.0
+    d_arc = np.subtract(w_norm, rho, out=w_norm)
+    d_arc = np.where(d_arc < 0.0, -d_arc, d_arc)
+    d_arc = np.where(wu[0] * a[0] + wu[1] * a[1] <= -sin_half + 1e-12, d_arc, np.inf)
 
-    ldx = cos_half * ax - sin_half * ay
-    ldy = sin_half * ax + cos_half * ay
-    s = vx * ldx + vy * ldy
-    s = np.where(s < tangent_dist, tangent_dist, s)
-    qx = s * ldx
-    qy = s * ldy
-    d = np.sqrt((qx - vx) * (qx - vx) + (qy - vy) * (qy - vy))
-    take = d < np.inf
-    best = np.where(take, d, np.inf)
-    bqx = np.where(take, qx, 0.0)
-    bqy = np.where(take, qy, 0.0)
-    bnx = np.where(take, -ldy, 0.0)
-    bny = np.where(take, ldx, 0.0)
-
-    rdx = cos_half * ax + sin_half * ay
-    rdy = -sin_half * ax + cos_half * ay
-    s = vx * rdx + vy * rdy
-    s = np.where(s < tangent_dist, tangent_dist, s)
-    qx = s * rdx
-    qy = s * rdy
-    d = np.sqrt((qx - vx) * (qx - vx) + (qy - vy) * (qy - vy))
+    # Leg directions cos a -+ sin (a_y, -a_x): the scalar sums, reordered exactly.
+    sp = sin_half * a[::-1]
+    sp[0] *= -1.0
+    ca = np.multiply(cos_half, a, out=a)
+    ld = ca + sp
+    rd = np.subtract(ca, sp, out=ca)
+    del a, ca, sp, sin_half, cos_half, c_norm
+    s_left, best = leg(ld)
+    skip = ~(best < np.inf)
+    best[skip] = np.inf
+    s, d = leg(rd)
+    del tangent_dist
     take = d < best
-    best = np.where(take, d, best)
-    bqx = np.where(take, qx, bqx)
-    bqy = np.where(take, qy, bqy)
-    bnx = np.where(take, rdy, bnx)
-    bny = np.where(take, -rdx, bny)
+    arc = d_arc < np.where(take, d, best)
+    q = s_left * ld
+    del d, best, d_arc, s_left
+    n = ld[::-1]
+    n[0] *= -1.0
+    np.copyto(q, 0.0, where=skip)
+    np.copyto(n, 0.0, where=skip)
+    q = np.where(take, s * rd, q)
+    rd[0] *= -1.0
+    n = np.where(take, rd[::-1], n)
+    del s, rd, skip
 
-    wx = vx - cx
-    wy = vy - cy
-    w_norm = np.sqrt(wx * wx + wy * wy)
-    at_center = w_norm < 1e-300
-    wux = np.where(at_center, -ax, wx / w_norm)
-    wuy = np.where(at_center, -ay, wy / w_norm)
-    w_norm = np.where(at_center, 0.0, w_norm)
-    d = w_norm - rho
-    d = np.where(d < 0.0, -d, d)
-    take = (wux * ax + wuy * ay <= -sin_half + 1e-12) & (d < best)
-    bqx = np.where(take, cx + rho * wux, bqx)
-    bqy = np.where(take, cy + rho * wuy, bqy)
-    bnx = np.where(take, wux, bnx)
-    bny = np.where(take, wuy, bny)
-    return bqx - vx, bqy - vy, bnx, bny
+    n = np.where(arc, wu, n)
+    c = np.subtract(nbr_pos.T[:, None, :], p, out=np.empty_like(q))
+    c /= tau
+    q = np.where(arc, np.add(c, np.multiply(rho, wu, out=wu), out=c), q)
+    return np.subtract(q, v, out=q), n
 
 
-def _overlap_shift_rows(rel_px, rel_py, radius_sum, dt, vx, vy):
-    """Elementwise :func:`overlap_shift`."""
+def _overlap_shift_rows(rel, radius_sum, dt, v):
+    """Elementwise :func:`overlap_shift` on (2, K) stacks of x and v: (u, n)."""
     inv_dt = 1.0 / dt
-    wx = vx - rel_px * inv_dt
-    wy = vy - rel_py * inv_dt
-    w_norm = np.sqrt(wx * wx + wy * wy)
+    w = v - rel * inv_dt
+    w_norm = np.sqrt(w[0] * w[0] + w[1] * w[1])
     at_center = w_norm < 1e-300
-    x_norm = np.sqrt(rel_px * rel_px + rel_py * rel_py)
-    apart = x_norm > 0.0
-    wux = np.where(at_center, np.where(apart, -rel_px / x_norm, 1.0), wx / w_norm)
-    wuy = np.where(at_center, np.where(apart, -rel_py / x_norm, 0.0), wy / w_norm)
-    w_norm = np.where(at_center, 0.0, w_norm)
-    mag = radius_sum * inv_dt - w_norm
-    return mag * wux, mag * wuy, wux, wuy
+    x_norm = np.sqrt(rel[0] * rel[0] + rel[1] * rel[1])
+    wu = np.where(at_center, np.where(x_norm > 0.0, -rel / x_norm, [[1.0], [0.0]]), w / w_norm)
+    mag = radius_sum * inv_dt - np.where(at_center, 0.0, w_norm)
+    return mag * wu, wu
 
 
 def _halfplane_rows(states, radius, nbr_pos, nbr_vel, nbr_rad, tau, dt, neighbor_radius):
     """Elementwise :func:`build_halfplanes`: (px, py, nx, ny, in_range), each (R, N)."""
-    px = states[:, 0:1]
-    py = states[:, 1:2]
-    vx = states[:, 2:3]
-    vy = states[:, 3:4]
-    rel_px = nbr_pos[:, 0] - px
-    rel_py = nbr_pos[:, 1] - py
-    dist2 = rel_px * rel_px + rel_py * rel_py
+    p, v = states[:, 0:2].T[:, :, None], states[:, 2:4].T[:, :, None]
+    shape = (2, states.shape[0], nbr_pos.shape[0])  # C order: numpy loops over neighbours innermost
+    rel = np.subtract(nbr_pos.T[:, None, :], p, out=np.empty(shape))
+    dist2 = rel[0] * rel[0] + rel[1] * rel[1]
     in_range = ~(dist2 > neighbor_radius * neighbor_radius)  # the scalar skip, negated
     r_sum = radius + nbr_rad
-    rvx = vx - nbr_vel[:, 0]
-    rvy = vy - nbr_vel[:, 1]
-    overlap = dist2 < r_sum * r_sum
-    shift = _overlap_shift_rows(rel_px, rel_py, r_sum, dt, rvx, rvy)
-    cone = _vo_closest_boundary_rows(rel_px, rel_py, r_sum, tau, rvx, rvy)
-    ux, uy, nx, ny = (np.where(overlap, a, b) for a, b in zip(shift, cone))
-    return vx + 0.5 * ux, vy + 0.5 * uy, nx, ny, in_range
+    rv = np.subtract(v, nbr_vel.T[:, None, :], out=np.empty(shape))
+    hit = np.flatnonzero(dist2 < r_sum * r_sum)  # overlapping pairs: the shift replaces the cone
+    del dist2
+    shift = _overlap_shift_rows(np.take(rel.reshape(2, -1), hit, axis=1), r_sum[hit % r_sum.size],
+                                dt, np.take(rv.reshape(2, -1), hit, axis=1))
+    u, n = _vo_closest_boundary_rows(rel, p, nbr_pos, r_sum, tau, rv)
+    u.reshape(2, -1)[:, hit], n.reshape(2, -1)[:, hit] = shift
+    u *= 0.5
+    u += v
+    return u[0], u[1], n[0], n[1], in_range
 
 
 def _lp1_rows(px, py, nx, ny, in_range, index, radius, opt_x, opt_y):

@@ -131,18 +131,22 @@ def predict_mean_batch(model: str, states: np.ndarray, ctx: CrowdContext, dt: fl
     if not (dt > 0.0):
         raise ValueError("dt must be > 0")
     states = np.asarray(states, dtype=np.float64)
-    out = states.copy()
     if model == "lin":
-        out[:, 0:2] += states[:, 2:4] * dt
-        return out
+        return step_mean(states, states[:, 2:4], dt)
     new_vel = np.empty((states.shape[0], 2))
     kernels.rvo_velocity_batch(
         states, ctx.self_body.radius, ctx.self_body.max_speed,
         ctx.neighbor_positions, ctx.neighbor_velocities, ctx.neighbor_radii,
         ctx.params.time_horizon_tau, dt, ctx.params.neighbor_radius, new_vel,
     )
-    out[:, 2:4] = new_vel
-    out[:, 0:2] = states[:, 0:2] + new_vel * dt
+    return step_mean(states, new_vel, dt)
+
+
+def step_mean(states: np.ndarray, velocity: np.ndarray, dt: float) -> np.ndarray:
+    """Transition means for next velocities (M, 2): position += velocity * dt."""
+    out = states.copy()
+    out[:, 2:4] = velocity
+    out[:, 0:2] += velocity * dt
     return out
 
 
@@ -155,15 +159,14 @@ def _clamp_speeds(states: np.ndarray):
             block[hot] *= (SPEED_CAP / norms[hot])[:, None]
 
 
-def sample_transition_batch(model: str, states: np.ndarray, ctx: CrowdContext,
-                            noise: NoiseSpec, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample next states: prediction mean plus independent per-block Gaussian noise.
+def sample_transition_batch(means: np.ndarray, eps: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """Sample next states: transition means (M, 6) plus standard normals ``eps`` of
+    the same shape times the per-block noise scales, one row per transition.
 
-    The desired-velocity block is a pure diffusion.  Velocity and desired
-    velocity magnitudes are clamped to `SPEED_CAP`.
+    Callers compute the means (`filters.predict_blocks` stacks the hops from one
+    context into one `predict_mean_batch` call) and draw ``eps``.  The desired
+    velocity diffuses; both velocity magnitudes are clamped to `SPEED_CAP`.
     """
-    means = predict_mean_batch(model, states, ctx, dt)
-    eps = rng.standard_normal(means.shape)
     out = means + eps * noise.block_scales()
     _clamp_speeds(out)
     return out

@@ -3,10 +3,13 @@
 These deliberately avoid the library's incremental algorithms: containment
 is checked by dense time sampling, boundary projection by dense grids over
 the cone pieces, and the constrained velocity choice by dense polar sampling
-of the feasible set plus golden-section refinement.
+of the feasible set plus golden-section refinement.  The filters' j-step
+prediction is checked against the plain per-block, per-hop loop.
 """
 
 import numpy as np
+
+from crowdtrack.motion import predict_mean_batch, sample_transition_batch
 
 
 def time_sampling_contains(rel_pos, r_sum, tau, rel_vel, n=1000):
@@ -211,3 +214,18 @@ def random_lp_instance(rng):
                 normals[i] = -normals[i]
     v_desire = rng.uniform(-1.5 * max_speed, 1.5 * max_speed, size=2)
     return points, normals, max_speed, v_desire
+
+
+def transition(model, states, ctx, noise, dt, rng):
+    """One sampled transition: its own mean computation and its own normal draw."""
+    means = predict_mean_batch(model, states, ctx, dt)
+    return sample_transition_batch(means, rng.standard_normal(means.shape), noise)
+
+
+def hpf_predict_j(history, j, model, noise, dt, rng):
+    """Block j from scratch: the posterior from j steps back through j transitions,
+    each hop with the context stored at the time it starts from."""
+    states = history.posterior(j).states
+    for back in range(j, 0, -1):
+        states = transition(model, states, history.context(back), noise, dt, rng)
+    return states

@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdtrack.bench import PROTOCOL_KEYS, ConfigError, ProtocolConfig, configure
@@ -331,6 +331,9 @@ def trajectory_text(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(text=trajectory_text(), obs_noise=st.sampled_from([0.0, 0.1]))
+# A finite jump of 1e200 m: the filters' means overflow, which must exit 4.
+@example(text="frame,id,x,y\n0,0,0.0,0.0\n0,1,0.0,1.0\n0,2,0.0,0.0\n1,2,0.0,0.0\n"
+              "1,0,0.0,2.0\n1,1,1e200,0.0\n2,0,0.0,0.0\n", obs_noise=0.0)
 def test_any_trajectory_file_predicts_or_exits_cleanly(text, obs_noise):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.csv")

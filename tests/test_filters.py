@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from crowdtrack import (AgentState, CrowdContext, GaussianPositionLikelihood,
-                        HpfConfig, NoiseSpec, ParticleSet, RvoParams,
-                        hpf_predict_j, hpf_step, pf_step, posterior_mean,
-                        resample)
+from crowdtrack import (AgentState, BodySpec, CrowdContext, GaussianPositionLikelihood,
+                        HpfConfig, NoiseSpec, ParticleSet, RvoParams, hpf_step,
+                        kernels, pf_step, posterior_mean, resample)
+from crowdtrack.bench import JointTracker
 from crowdtrack.filters import (FilterHistory, InsufficientHistory,
-                                mixture_update)
-from crowdtrack.motion import sample_transition_batch
+                                mixture_update, predict_blocks)
 
-from helpers import kalman_filter_lin
+from helpers import hpf_predict_j, kalman_filter_lin, transition
 
 DT = 0.4
 
@@ -106,8 +105,8 @@ class TestPfStep:
         obs_model = GaussianPositionLikelihood(0.1)
         post = pf_step(prior, empty_ctx(), None, obs_model, "lin", noise, DT,
                        np.random.default_rng(5))
-        propagated = sample_transition_batch("lin", prior.states, empty_ctx(),
-                                             noise, DT, np.random.default_rng(6))
+        propagated = transition("lin", prior.states, empty_ctx(),
+                                noise, DT, np.random.default_rng(6))
         got = posterior_mean(post).to_array()
         want = propagated.mean(axis=0)
         scale = noise.block_scales() + prior.states.std(axis=0)
@@ -169,6 +168,8 @@ class TestPfStep:
 
 
 class TestHpfPredictJ:
+    """The HPF's j-step predictions, `predict_blocks`."""
+
     def test_j1_matches_plain_propagation(self):
         rng_a = np.random.default_rng(10)
         rng_b = np.random.default_rng(10)
@@ -176,18 +177,18 @@ class TestHpfPredictJ:
         history = FilterHistory(2)
         history.push(prior, empty_ctx())
         noise = NoiseSpec()
-        out = hpf_predict_j(history, 1, "lin", noise, DT, rng_a)
-        direct = sample_transition_batch("lin", prior.states, empty_ctx(), noise, DT, rng_b)
-        assert np.array_equal(out.states, direct)
+        out = predict_blocks(history, 1, "lin", noise, DT, rng_a)[0]
+        direct = transition("lin", prior.states, empty_ctx(), noise, DT, rng_b)
+        assert np.array_equal(out, direct)
 
     def test_two_euler_steps_without_noise(self):
         state = np.array([[0.0, 0.0, 1.0, 0.0, 1.0, 0.0]])
         history = FilterHistory(2)
         history.push(uniform_set(state), empty_ctx())
         history.push(uniform_set(state), empty_ctx())
-        out = hpf_predict_j(history, 2, "lin", NoiseSpec(0, 0, 0), DT,
-                            np.random.default_rng(0))
-        assert np.allclose(out.states[0, 0:2], [0.8, 0.0])
+        out = predict_blocks(history, 2, "lin", NoiseSpec(0, 0, 0), DT,
+                             np.random.default_rng(0))[1]
+        assert np.allclose(out[0, 0:2], [0.8, 0.0])
 
     def test_rvo_two_step_matches_manual_rollout(self):
         rng = np.random.default_rng(12)
@@ -201,17 +202,95 @@ class TestHpfPredictJ:
         history.push(prior, ctx_then)
         history.push(uniform_set(np.zeros((40, 6))), ctx_now)
         noise = NoiseSpec(0.01, 0.01, 0.01)
-        out = hpf_predict_j(history, 2, "rvo", noise, DT, np.random.default_rng(14))
+        out = predict_blocks(history, 2, "rvo", noise, DT, np.random.default_rng(14))[1]
         rng_manual = np.random.default_rng(14)
-        step1 = sample_transition_batch("rvo", prior.states, ctx_then, noise, DT, rng_manual)
-        step2 = sample_transition_batch("rvo", step1, ctx_now, noise, DT, rng_manual)
-        assert np.array_equal(out.states, step2)
+        rng_manual.standard_normal((40, 6))  # block 1's normals come first
+        step1 = transition("rvo", prior.states, ctx_then, noise, DT, rng_manual)
+        step2 = transition("rvo", step1, ctx_now, noise, DT, rng_manual)
+        assert np.array_equal(out, step2)
 
     def test_insufficient_history(self):
         history = FilterHistory(3)
         history.push(cloud(np.random.default_rng(15), 10), empty_ctx())
         with pytest.raises(InsufficientHistory):
-            hpf_predict_j(history, 2, "lin", NoiseSpec(), DT, np.random.default_rng(0))
+            predict_blocks(history, 2, "lin", NoiseSpec(), DT, np.random.default_rng(0))
+
+
+def crowd_contexts(rng, k, params):
+    """k contexts of two neighbours close enough to bend the RVO velocities."""
+    return [CrowdContext(others=[[1.0, 0.3 * t, -1.0, 0.0, -1.0, 0.0],
+                                 [0.6, -0.8 + 0.1 * t, 0.0, 1.0, 0.0, 1.0]]
+                         + rng.normal(0.0, 0.05, (2, 6)), params=params)
+            for t in range(k)]
+
+
+def filled_tracker(k, model, m=24, frames=4):
+    """A K-th order JointTracker on three walkers, stepped a few frames."""
+    fixes = {0: ([0.0, 0.0], [1.0, 0.0]), 1: ([2.0, 0.3], [-1.0, 0.0]),
+             2: ([1.0, -1.0], [0.0, 1.0])}
+    pi = (1.0,) if k == 1 else (0.8, 0.2) if k == 2 else (0.7, 0.2, 0.1)
+    tracker = JointTracker(fixes, model, "hpf", HpfConfig(k, pi, m), NoiseSpec(),
+                           RvoParams(dt=DT), np.random.default_rng(5), BodySpec(),
+                           init_spread=(0.05, 0.1))
+    obs_model = GaussianPositionLikelihood(0.1)
+    for t in range(frames):
+        tracker.step({i: np.asarray(p) + 0.4 * (t + 1) * np.asarray(v)
+                      for i, (p, v) in fixes.items()}, obs_model)
+    return tracker
+
+
+def assert_blocks_match_oracle(history, k, model, dt, seed):
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = predict_blocks(history, k, model, NoiseSpec(), dt, rng_new)
+    want = [hpf_predict_j(history, j, model, NoiseSpec(), dt, rng_old) for j in range(1, k + 1)]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert rng_new.random() == rng_old.random()  # the same number of normals drawn
+
+
+@pytest.mark.parametrize("model", ["rvo", "lin"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+class TestPredictBlocksMatchesPerBlockLoop:
+    """Bitwise equal to propagating each block from scratch, hop by hop."""
+
+    def test_hand_pushed_history(self, k, model):
+        rng = np.random.default_rng(30 + k)
+        history = FilterHistory(k)
+        for t, ctx in enumerate(crowd_contexts(rng, k, RvoParams(dt=DT))):
+            history.push(cloud(rng, 20, pos=(0.4 * t, 0.0)), ctx)
+        assert_blocks_match_oracle(history, k, model, DT, seed=40)
+        assert_blocks_match_oracle(history, k, model, DT, seed=41)  # now from the memos
+
+    def test_history_filled_by_tracker_frames(self, k, model):
+        tracker = filled_tracker(k, model)
+        for seed, history in enumerate(tracker.histories):
+            assert len(history) == k
+            assert_blocks_match_oracle(history, k, model, DT, seed)
+            # Memos are kept for the entries the next step reads again, and only those.
+            kept = [(model, DT) in history._entry(j)[2] for j in range(1, k + 1)]
+            assert kept == [j < k for j in range(1, k + 1)]
+
+    def test_restepped_history_recomputes_its_memo(self, k, model):
+        other_model = "lin" if model == "rvo" else "rvo"
+        history = filled_tracker(k, model).histories[0]
+        assert_blocks_match_oracle(history, k, other_model, DT, seed=50)
+        assert_blocks_match_oracle(history, k, model, 0.25, seed=51)
+        assert_blocks_match_oracle(history, k, model, DT, seed=52)
+
+
+@pytest.mark.parametrize("k, rows_per_call", [(1, 1), (2, 2)])
+def test_full_history_step_makes_one_kernel_call_per_agent(monkeypatch, k, rows_per_call):
+    tracker = filled_tracker(k, "rvo", m=24, frames=k)
+    calls = []
+    original = kernels.rvo_velocity_batch
+
+    def counted(states, *args):
+        calls.append(states.shape[0])
+        return original(states, *args)
+
+    monkeypatch.setattr(kernels, "rvo_velocity_batch", counted)
+    tracker.step({}, GaussianPositionLikelihood(0.1))
+    assert calls == [rows_per_call * 24] * len(tracker.ids)
 
 
 class TestHpfStep:

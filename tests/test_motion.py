@@ -4,9 +4,9 @@ import pytest
 from crowdtrack import (AgentBody, BodySpec, CrowdContext, NoiseSpec,
                         RvoParams, resolve_model, rvo_step)
 from crowdtrack.kernels import build_halfplanes
-from crowdtrack.motion import MODELS, predict_mean_batch, sample_transition_batch
+from crowdtrack.motion import MODELS, predict_mean_batch
 
-from helpers import analytic_min_separation
+from helpers import analytic_min_separation, transition
 
 
 def state(p, v, d=None):
@@ -80,7 +80,7 @@ class TestSampleTransition:
         rng = np.random.default_rng(0)
         s = state([0.5, -1.0], [0.9, 0.2])
         noise = NoiseSpec(0.0, 0.0, 0.0)
-        out = sample_transition_batch("lin", s[None, :], empty_ctx(), noise, 0.4, rng)[0]
+        out = transition("lin", s[None, :], empty_ctx(), noise, 0.4, rng)[0]
         assert np.array_equal(out, predict("lin", s, empty_ctx()))
 
     def test_noise_moments(self):
@@ -89,7 +89,7 @@ class TestSampleTransition:
         s = state([0.0, 0.0], [1.0, 0.0])
         n = 100000
         states = np.tile(s, (n, 1))
-        out = sample_transition_batch("lin", states, empty_ctx(), noise, 0.4, rng)
+        out = transition("lin", states, empty_ctx(), noise, 0.4, rng)
         mean = predict("lin", s, empty_ctx())
         scales = noise.block_scales()
         emp_mean = out.mean(axis=0)
@@ -100,8 +100,8 @@ class TestSampleTransition:
     def test_fixed_seed_reproducible(self):
         states = state([0, 0], [1, 0])[None, :]
         noise = NoiseSpec()
-        a = sample_transition_batch("lin", states, empty_ctx(), noise, 0.4, np.random.default_rng(42))
-        b = sample_transition_batch("lin", states, empty_ctx(), noise, 0.4, np.random.default_rng(42))
+        a = transition("lin", states, empty_ctx(), noise, 0.4, np.random.default_rng(42))
+        b = transition("lin", states, empty_ctx(), noise, 0.4, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_speed_cap_enforced(self):
@@ -109,7 +109,7 @@ class TestSampleTransition:
         s = state([0, 0], [2.5, 0])
         noise = NoiseSpec(0.0, 5.0, 5.0)
         states = np.tile(s, (2000, 1))
-        out = sample_transition_batch("lin", states, empty_ctx(), noise, 0.4, rng)
+        out = transition("lin", states, empty_ctx(), noise, 0.4, rng)
         speeds = np.linalg.norm(out[:, 2:4], axis=1)
         desired = np.linalg.norm(out[:, 4:6], axis=1)
         assert np.all(speeds <= 3.0 + 1e-12)
