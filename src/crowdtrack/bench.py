@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import NonFiniteMotion, ObservationTrace, Scenario
 from .filters import FilterHistory, HpfConfig, ParticleSet, hpf_step, init_particles
-from .motion import BodySpec, CrowdContext, NoiseSpec, resolve_model
+from .motion import BodySpec, CrowdContext, NoiseSpec, resolve_model, step_mean
 from .rvo import RvoParams, crowd_step
 
 #: Distance rule for track outcomes (meters).
@@ -168,27 +168,27 @@ class JointTracker:
     Every agent's particles interact with the *previous* frame's posterior
     means of the other agents; new means are published only after all agents
     finished the frame.  ``means`` holds them as one (agents, 6) array of
-    state rows in ``ids`` order.
+    state rows in ``ids`` order.  Steps span ``dt``, the scenario's interval.
     """
 
     def __init__(self, init_fixes: Dict[int, Tuple[np.ndarray, np.ndarray]],
-                 model: str, filter_kind: str, cfg: HpfConfig, noise: NoiseSpec,
-                 params: RvoParams, rng: np.random.Generator, body: BodySpec,
-                 init_spread: Tuple[float, float]):
+                 model: str, filter_kind: str, cfg: ProtocolConfig, dt: float,
+                 rng: np.random.Generator, init_spread: Tuple[float, float]):
         base_model, adaptive = resolve_model(model)
         self.model = base_model
+        hpf = cfg.hpf
         if filter_kind == "pf":
-            cfg = HpfConfig(order_k=1, pi=(1.0,), particles_m=cfg.particles_m)
+            hpf = HpfConfig(order_k=1, pi=(1.0,), particles_m=hpf.particles_m)
         elif filter_kind != "hpf":
             raise ValueError(f"unknown filter kind '{filter_kind}'")
-        self.cfg = cfg
-        self.noise = noise if adaptive else replace(noise, sigma_desired=0.0)
-        self.params = params
-        self.body = body
+        self.hpf = hpf
+        self.noise = cfg.noise if adaptive else replace(cfg.noise, sigma_desired=0.0)
+        self.params = replace(cfg.params, dt=dt)
+        self.body = cfg.body
         self.rng = rng
         self.ids = sorted(init_fixes)
-        self.histories = [FilterHistory(cfg.order_k) for _ in self.ids]
-        sets = [init_particles(*init_fixes[agent_id], cfg.particles_m, rng, *init_spread)
+        self.histories = [FilterHistory(hpf.order_k) for _ in self.ids]
+        sets = [init_particles(*init_fixes[agent_id], hpf.particles_m, rng, *init_spread)
                 for agent_id in self.ids]
         self._publish(sets)
 
@@ -209,7 +209,7 @@ class JointTracker:
         """
         self._publish([
             hpf_step(history, history.context(1), observations.get(agent_id), obs_model,
-                     self.cfg, self.model, self.noise, self.params.dt, self.rng)[0]
+                     self.hpf, self.model, self.noise, self.params.dt, self.rng)[0]
             for agent_id, history in zip(self.ids, self.histories)])
 
     def mean_position(self, agent_id: int) -> np.ndarray:
@@ -232,7 +232,7 @@ class JointTracker:
         out = []
         for _ in range(steps):
             if self.model == "lin":
-                current = np.hstack([current[:, 0:2] + current[:, 2:4] * dt, current[:, 2:6]])
+                current = step_mean(current, current[:, 2:4], dt)
             else:
                 current = crowd_step(current, radii, max_speeds, self.params)
             out.append({agent_id: current[i, 0:2] for i, agent_id in enumerate(self.ids)})
@@ -273,8 +273,9 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be >= 1")
         for name, steps in (("prediction_horizons", self.predict_steps),
                             ("tracking_horizons", self.track_steps)):
-            if not all(1 <= h <= steps for h in getattr(self, name)):
-                raise ValueError(f"{name} must lie in 1..{steps}")
+            horizons = getattr(self, name)
+            if not horizons or not all(1 <= h <= steps for h in horizons):
+                raise ValueError(f"{name} must be one or more steps in 1..{steps}")
 
     def resolve_init_spread(self, dt: float, exact_observations: bool):
         """(position, velocity) spread of the initial particle cloud: derived
@@ -315,7 +316,10 @@ def parse_float(raw: str) -> float:
 
 
 def parse_ints(raw: str) -> Tuple[int, ...]:
-    return tuple(parse_int(part) for part in raw.split(",") if part.strip())
+    values = tuple(parse_int(part) for part in raw.split(",") if part.strip())
+    if not values:
+        raise ValueError("expected one or more integers")
+    return values
 
 
 def parse_floats(raw: str) -> Tuple[float, ...]:
@@ -421,8 +425,7 @@ def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
             continue
         any_trial = True
         spread = cfg.resolve_init_spread(scenario.dt, exact_observations=trace is None)
-        tracker = JointTracker(init, model, filter_kind, cfg.hpf, cfg.noise,
-                               cfg.params, rng, cfg.body, spread)
+        tracker = JointTracker(init, model, filter_kind, cfg, scenario.dt, rng, spread)
         for t in range(t0 + 1, learn_end + 1):
             tracker.step(observed[t], obs_model)
         available = min(cfg.predict_steps, n - 1 - learn_end)
@@ -482,8 +485,7 @@ def run_tracking_protocol(scenario: Scenario, trace: ObservationTrace,
             v0 = np.zeros(2) if obs1 is None else (obs1 - p0) / scenario.dt
             init[agent_id] = (p0, v0)
         spread = cfg.resolve_init_spread(scenario.dt, exact_observations=False)
-        tracker = JointTracker(init, model, filter_kind, cfg.hpf, cfg.noise,
-                               cfg.params, rng, cfg.body, spread)
+        tracker = JointTracker(init, model, filter_kind, cfg, scenario.dt, rng, spread)
         horizon = min(cfg.track_steps, n - 1 - t0)
         for step in range(1, horizon + 1):
             t = t0 + step
@@ -532,6 +534,10 @@ def sweep(grid: Dict[str, Sequence], scenarios: Sequence[Scenario],
     """
     if objective not in ("mean_error", "st"):
         raise ValueError("objective must be 'mean_error' or 'st'")
+    if not scenarios:
+        raise ValueError("sweep needs at least one scenario")
+    if "rvo.dt" in grid:
+        raise ConfigError("rvo.dt", "a sweep runs at its scenarios' dt and cannot vary it")
     base = base or ProtocolConfig()
     keys = sorted(grid)
     combos = [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]

@@ -219,7 +219,8 @@ def _prepare_out(cfg: RunConfig) -> str:
     return cfg.out
 
 
-def _write_echo(cfg: RunConfig, protocol: ProtocolConfig):
+def _write_echo(cfg: RunConfig, protocol: ProtocolConfig, dt: float):
+    protocol = replace(protocol, params=replace(protocol.params, dt=dt))  # the run's clock
     path = os.path.join(cfg.out, "config.echo")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(echo_lines(cfg, protocol)) + "\n")
@@ -263,7 +264,7 @@ def cmd_simulate(cfg: RunConfig, protocol: ProtocolConfig) -> int:
     scenario = _load_scenario(cfg, protocol)
     _prepare_out(cfg)
     write_trajectories(scenario, os.path.join(cfg.out, "trajectories.csv"))
-    _write_echo(cfg, protocol)
+    _write_echo(cfg, protocol, scenario.dt)
     sep = min_pairwise_separation(scenario)
     print(f"wrote {os.path.join(cfg.out, 'trajectories.csv')} "
           f"({scenario.n_frames} frames, {len(scenario.agent_ids)} agents, "
@@ -278,7 +279,7 @@ def cmd_predict(cfg: RunConfig, protocol: ProtocolConfig) -> int:
     report = run_prediction_protocol(scenario, cfg.model, cfg.filter_kind,
                                      protocol, seed=cfg.seed, trace=trace)
     report.to_csv(os.path.join(cfg.out, "report.csv"))
-    _write_echo(cfg, protocol)
+    _write_echo(cfg, protocol, scenario.dt)
     print(report.format_table())
     return EXIT_OK
 
@@ -292,7 +293,7 @@ def cmd_track(cfg: RunConfig, protocol: ProtocolConfig) -> int:
     report = run_tracking_protocol(scenario, trace, cfg.model, cfg.filter_kind,
                                    protocol, seed=cfg.seed)
     report.to_csv(os.path.join(cfg.out, "report.csv"))
-    _write_echo(cfg, protocol)
+    _write_echo(cfg, protocol, scenario.dt)
     print(report.format_table())
     return EXIT_OK
 
@@ -319,7 +320,7 @@ def cmd_sweep(cfg: RunConfig, protocol: ProtocolConfig) -> int:
                    traces=traces)
     table_path = os.path.join(cfg.out, "report.csv")
     result.to_csv(table_path)
-    _write_echo(cfg, protocol)
+    _write_echo(cfg, protocol, scenarios[0].dt)
     best = " ".join(f"{k}={v}" for k, v in sorted(result.best.items()))
     print(f"best: {best} (objective {result.best_score:.6f})")
     print(table_path)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -92,7 +93,7 @@ class Scenario:
         return sorted(ids)
 
     def positions_by_agent(self) -> Dict[int, Dict[int, np.ndarray]]:
-        """agent id -> {frame position in self.frames order -> position}."""
+        """agent id -> {frame position in self.frames, in dt from the first frame -> position}."""
         tracks: Dict[int, Dict[int, np.ndarray]] = {}
         for k, frame in enumerate(self.frames):
             for agent_id, pos in frame.entries:
@@ -127,9 +128,24 @@ def _parse_meta(line: str):
     return key.strip(), value.strip()
 
 
+def _grid_frames(entries: Dict[int, List[Tuple[int, np.ndarray]]], step: int,
+                 origin: int) -> List[Frame]:
+    """Frames at every ``step``-th number from the first in ``entries`` to the last,
+    time index (number - origin) // step; a number ``entries`` lacks is a frame in
+    which no agent is observed.  Raises ValueError on a number off that grid."""
+    first = min(entries)
+    for number in entries:
+        if (number - first) % step:
+            raise ValueError(f"frame {number} must lie on the grid of step {step} "
+                             f"from frame {first}")
+    return [Frame((number - origin) // step, entries.get(number, []))
+            for number in range(first, max(entries) + 1, step)]
+
+
 def _parse_csv_fixy(text: str, name: str) -> Scenario:
     meta: Dict[str, str] = {}
-    rows = []
+    entries: Dict[int, List[Tuple[int, np.ndarray]]] = {}
+    last = None
     seen = set()
     header_seen = False
     lines = text.splitlines()
@@ -162,34 +178,28 @@ def _parse_csv_fixy(text: str, name: str) -> Scenario:
         if (frame, agent_id) in seen:
             raise MalformedRow(lineno, f"duplicate (frame, id) = ({frame}, {agent_id})")
         seen.add((frame, agent_id))
-        if rows and frame < rows[-1][0]:
-            raise NonMonotoneFrames(f"line {lineno}: frame {frame} after frame {rows[-1][0]}")
-        rows.append((frame, agent_id, x, y))
-    if not rows:
+        if entries and frame < last:
+            raise NonMonotoneFrames(f"line {lineno}: frame {frame} after frame {last}")
+        entries.setdefault(frame, []).append((agent_id, np.array([x, y])))
+        last = frame
+    if not entries:
         raise EmptyFile("no data rows")
-
-    frames: List[Frame] = []
-    for frame_idx, agent_id, x, y in rows:
-        if frames and frames[-1].time_index == frame_idx:
-            frames[-1].entries.append((agent_id, np.array([x, y])))
-        else:
-            frames.append(Frame(frame_idx, [(agent_id, np.array([x, y]))]))
     raw_dt = meta.pop("dt", "0.4")
     try:
         dt = float(raw_dt)
     except ValueError:
         raise ValueError(f"dt must be a number, got '{raw_dt}'") from None
     name = meta.pop("name", name)
-    return Scenario(dt=dt, frames=frames, name=name, meta=meta)
+    return Scenario(dt=dt, frames=_grid_frames(entries, 1, 0), name=name, meta=meta)
 
 
 def _parse_obsmat(text: str, name: str) -> Scenario:
     """ETH-style rows `frame id x z y vx vz vy`; only (x, y) are used.
 
-    Raw frame numbers are compressed to consecutive indices in order.
+    Raw frame numbers step by their most frequent difference (one stray number
+    would make the smallest 1), 0.4 s per step as in ETH/UCY; the first is frame 0.
     """
     entries: Dict[int, List[Tuple[int, np.ndarray]]] = {}
-    any_row = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("%"):
@@ -207,12 +217,12 @@ def _parse_obsmat(text: str, name: str) -> Scenario:
         if not (np.isfinite(x) and np.isfinite(y)):
             raise MalformedRow(lineno, "non-finite position")
         entries.setdefault(frame, []).append((agent_id, np.array([x, y])))
-        any_row = True
-    if not any_row:
+    if not entries:
         raise EmptyFile("no data rows")
-    frames = [Frame(idx, entries[raw_frame])
-              for idx, raw_frame in enumerate(sorted(entries))]
-    return Scenario(dt=0.4, frames=frames, name=name)
+    numbers = sorted(entries)
+    steps = Counter(b - a for a, b in zip(numbers, numbers[1:]))
+    step = min(steps, key=lambda d: (-steps[d], d)) if steps else 1
+    return Scenario(dt=0.4, frames=_grid_frames(entries, step, numbers[0]), name=name)
 
 
 def _check_finite_motion(dt: float, frames: Sequence[Tuple[int, Dict[int, np.ndarray]]]):

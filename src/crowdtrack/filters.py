@@ -51,7 +51,6 @@ class ParticleSet:
 
     states: np.ndarray
     weights: np.ndarray
-    timestamp: int = 0
     flagged: bool = False
 
     def __post_init__(self):
@@ -74,7 +73,7 @@ class ParticleSet:
         total = float(self.weights.sum())
         if total <= 0.0:
             raise ValueError("cannot normalize zero total weight")
-        return ParticleSet(self.states, self.weights / total, self.timestamp, self.flagged)
+        return ParticleSet(self.states, self.weights / total, self.flagged)
 
 
 @dataclass(frozen=True)
@@ -163,8 +162,7 @@ def resample(pooled: ParticleSet, m: int, rng: np.random.Generator) -> ParticleS
     cum[-1] = 1.0
     positions = (np.arange(m) + rng.random()) / m
     idx = np.searchsorted(cum, positions, side="right")
-    return ParticleSet(pooled.states[idx].copy(), np.full(m, 1.0 / m),
-                       pooled.timestamp, pooled.flagged)
+    return ParticleSet(pooled.states[idx].copy(), np.full(m, 1.0 / m), pooled.flagged)
 
 
 def posterior_mean(pset: ParticleSet) -> AgentState:
@@ -261,8 +259,7 @@ def hpf_step(history: FilterHistory, ctx: CrowdContext, obs, obs_model: Observat
         raise ValueError("ctx must be the context stored with the newest posterior")
     pooled_states, pooled_weights, lambdas, _, flagged = mixture_update(
         history, obs, obs_model, cfg, model, noise, dt, rng)
-    timestamp = history.posterior(1).timestamp + 1
-    pooled = ParticleSet(pooled_states, pooled_weights, timestamp, flagged)
+    pooled = ParticleSet(pooled_states, pooled_weights, flagged)
     return resample(pooled, cfg.particles_m, rng), lambdas
 
 

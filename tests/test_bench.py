@@ -183,12 +183,23 @@ class TestReports:
         assert reports_digest() == self.REPORT_PIN
 
 
+def test_protocols_step_at_the_scenarios_dt():
+    # The scenario is the run's clock: rvo.dt only sets a generated scenario's step.
+    scenario = make_scenario("crossing", 2, 1, dt=0.2)
+    trace = corrupt(scenario, 0.1, (), seed=1)
+    reports = [(run_prediction_protocol(scenario, "rvo+", "hpf", cfg, seed=0).rows,
+                run_tracking_protocol(scenario, trace, "rvo+", "hpf", cfg, seed=0).outcomes)
+               for cfg in (ProtocolConfig(), ProtocolConfig(params=RvoParams(dt=0.2)))]
+    assert reports[0] == reports[1]
+
+
 def four_walkers(model, body=BodySpec()):
     """A tracker over two crossing head-on pairs, at its initial means."""
     fixes = {0: ([-3.0, 0.1], [1.2, 0.0]), 1: ([3.0, -0.1], [-1.2, 0.0]),
              2: ([0.2, -3.0], [0.0, 1.2]), 3: ([-0.2, 3.0], [0.0, -1.2])}
-    return JointTracker(fixes, model, "hpf", HpfConfig(particles_m=50), NoiseSpec(),
-                        RvoParams(), np.random.default_rng(0), body, init_spread=(0.05, 0.1))
+    cfg = ProtocolConfig(hpf=HpfConfig(particles_m=50), body=body)
+    return JointTracker(fixes, model, "hpf", cfg, 0.4, np.random.default_rng(0),
+                        init_spread=(0.05, 0.1))
 
 
 def rollout_digest(tracker, steps):

@@ -199,6 +199,7 @@ class TestSweep:
 TRACK = ["track", "--kind", "corridor", "--agents", 2, "--seed", 5, "--steps", 20,
          "--obs-noise", 0.3, "--set", "hpf.m=30"]
 PREDICT = ["predict", "--kind", "crossing", "--agents", 2, "--seed", 2, "--set", "hpf.m=30"]
+SWEEP = ["sweep", "--kind", "crossing", "--agents", 2, "--set", "sweep.grid.hpf.m=10"]
 DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
 
 
@@ -227,6 +228,10 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (PREDICT + ["--obs-noise", "1e308"], 2, "obs.noise"),
     (PREDICT + ["--set", "bench.prediction_horizons=0"], 2, "bench.prediction_horizons"),
     (PREDICT + ["--set", "bench.prediction_horizons=31"], 2, "bench.prediction_horizons"),
+    (PREDICT + ["--set", "bench.prediction_horizons="], 2, "bench.prediction_horizons"),
+    (TRACK + ["--set", "bench.tracking_horizons="], 2, "bench.tracking_horizons"),
+    (SWEEP + ["--set", "sweep.seeds="], 2, "sweep.seeds"),
+    (SWEEP + ["--set", "sweep.grid.rvo.dt=0.2;0.4"], 2, "rvo.dt"),
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -1], 2, "steps"),
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -5], 2, "steps"),
     (["simulate", "--kind", "corridor", "--agents", 0], 2, "agents"),
@@ -240,6 +245,7 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (["predict", "--input", "dt_inf.csv"], 4, "dt"),
     (["predict", "--input", "dt_tiny.csv"], 4, "dt"),
     (["predict", "--input", "x_overflow.csv"], 4, "dt"),
+    (["predict", "--input", "off_grid.txt", "--format", "obsmat"], 4, "frame 17"),
 ], ids=lambda v: v[-1] if isinstance(v, list) else None)
 def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, argv, code, key):
     monkeypatch.chdir(tmp_path)
@@ -249,6 +255,8 @@ def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, arg
     (tmp_path / "dt_inf.csv").write_text("# dt = inf\n" + DT_ROWS)
     (tmp_path / "dt_tiny.csv").write_text("# dt = 1e-320\n" + DT_ROWS)
     (tmp_path / "x_overflow.csv").write_text("frame,id,x,y\n0,1,1e308,0.0\n1,1,-1e308,0.0\n")
+    (tmp_path / "off_grid.txt").write_text("".join(f"{n} 1 0.0 0.0 0.0 0.0 0.0 0.0\n"
+                                                   for n in (0, 10, 17, 20, 30)))
     assert run(argv + ["--out", tmp_path / "x"]) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -268,6 +276,21 @@ def test_trajectory_file_reports_finite_errors(tmp_path, rows):
     with open(out / "report.csv", encoding="utf-8") as fh:
         cells = [row for row in csv.DictReader(fh) if int(row["n_trials"]) > 0]
     assert cells and all(np.isfinite(float(row["mean_error_m"])) for row in cells)
+
+
+def test_trajectory_file_sets_the_filters_dt(tmp_path):
+    # A file's dt is the run's clock: rvo.dt changes neither the report nor the echoed dt.
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--kind", "crossing", "--agents", 2, "--seed", 1,
+                "--set", "rvo.dt=0.2", "--out", sim]) == 0
+    reports = []
+    for extra in ([], ["--set", "rvo.dt=0.2"]):
+        out = tmp_path / f"predict{len(extra)}"
+        assert run(["predict", "--input", sim / "trajectories.csv", "--model", "rvo+",
+                    "--filter", "pf", "--set", "hpf.m=60", *extra, "--out", out]) == 0
+        assert "rvo.dt = 0.2" in (out / "config.echo").read_text().splitlines()
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 SETTING_KEYS = sorted(RUN_KEYS) + sorted(PROTOCOL_KEYS) + [GRID_PREFIX + k for k in sorted(PROTOCOL_KEYS)]

@@ -57,6 +57,14 @@ class TestParseCsvFixy:
         with pytest.raises(EmptyFile):
             parse_trajectories(path)
 
+    def test_missing_frame_numbers_are_frames_with_no_agent(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("frame,id,x,y\n0,1,0.0,0.0\n1,1,0.4,0.0\n5,1,2.0,0.0\n")
+        s = parse_trajectories(path)
+        assert [f.time_index for f in s.frames] == [0, 1, 2, 3, 4, 5]
+        assert [f.entries for f in s.frames[2:5]] == [[], [], []]
+        assert sorted(s.positions_by_agent()[1]) == [0, 1, 5]
+
     def test_round_trip_is_identity(self, tmp_path):
         s = make_scenario("crossing", 4, seed=3, steps=20, dt=0.25)
         path = tmp_path / "rt.csv"
@@ -94,6 +102,20 @@ class TestParseObsmat:
         assert np.allclose(dict(s.frames[0].entries)[1], [10.0, 5.0])
         assert np.allclose(dict(s.frames[0].entries)[2], [-3.5, 2.25])
         assert s.frames[0].time_index == 0 and s.frames[1].time_index == 1
+
+    def test_frames_lie_on_the_most_frequent_step(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        rows = [f"{n} 1 {0.1 * (n - 840)!r} 0.0 0.0 0.0 0.0 0.0"
+                for n in (840, 846, 852, 858, 870)]
+        path.write_text("\n".join(rows) + "\n")
+        s = parse_trajectories(path, fmt="obsmat")
+        assert s.dt == 0.4
+        assert [f.time_index for f in s.frames] == [0, 1, 2, 3, 4, 5]
+        assert s.frames[4].entries == []
+        # One stray number leaves the step at 6 and is rejected, naming its frame.
+        path.write_text("\n".join(rows + ["847 2 0.0 0.0 1.0 0.0 0.0 0.0"]) + "\n")
+        with pytest.raises(ValueError, match="frame 847 must lie on the grid of step 6"):
+            parse_trajectories(path, fmt="obsmat")
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from crowdtrack import (AgentState, BodySpec, CrowdContext, GaussianPositionLikelihood,
+from crowdtrack import (AgentState, CrowdContext, GaussianPositionLikelihood,
                         HpfConfig, NoiseSpec, ParticleSet, RvoParams, hpf_step,
                         kernels, pf_step, posterior_mean, resample)
-from crowdtrack.bench import JointTracker
+from crowdtrack.bench import JointTracker, ProtocolConfig
 from crowdtrack.filters import (FilterHistory, InsufficientHistory,
                                 mixture_update, predict_blocks)
 
@@ -17,10 +17,10 @@ def empty_ctx():
     return CrowdContext(others=(), params=RvoParams(dt=DT))
 
 
-def uniform_set(states, timestamp=0):
+def uniform_set(states):
     states = np.atleast_2d(np.asarray(states, dtype=float))
     m = states.shape[0]
-    return ParticleSet(states, np.full(m, 1.0 / m), timestamp)
+    return ParticleSet(states, np.full(m, 1.0 / m))
 
 
 def cloud(rng, m, pos=(0.0, 0.0), vel=(1.0, 0.0), spread=0.3):
@@ -229,9 +229,8 @@ def filled_tracker(k, model, m=24, frames=4):
     fixes = {0: ([0.0, 0.0], [1.0, 0.0]), 1: ([2.0, 0.3], [-1.0, 0.0]),
              2: ([1.0, -1.0], [0.0, 1.0])}
     pi = (1.0,) if k == 1 else (0.8, 0.2) if k == 2 else (0.7, 0.2, 0.1)
-    tracker = JointTracker(fixes, model, "hpf", HpfConfig(k, pi, m), NoiseSpec(),
-                           RvoParams(dt=DT), np.random.default_rng(5), BodySpec(),
-                           init_spread=(0.05, 0.1))
+    tracker = JointTracker(fixes, model, "hpf", ProtocolConfig(hpf=HpfConfig(k, pi, m)), DT,
+                           np.random.default_rng(5), init_spread=(0.05, 0.1))
     obs_model = GaussianPositionLikelihood(0.1)
     for t in range(frames):
         tracker.step({i: np.asarray(p) + 0.4 * (t + 1) * np.asarray(v)
@@ -479,6 +478,21 @@ class TestHpfStep:
         assert out.flagged
         assert np.allclose(lambdas, [0.91, 0.09])
         assert out.size == 30
+
+    def test_pushed_flags_do_not_change_the_step(self):
+        steps = []
+        for flags in ((False, False), (True, True), (False, True)):
+            rng = np.random.default_rng(26)
+            history = FilterHistory(2)
+            for flagged in flags:
+                pset = cloud(rng, 30)
+                history.push(ParticleSet(pset.states, pset.weights, flagged), empty_ctx())
+            cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=30)
+            out, lambdas = hpf_step(history, history.context(1), np.array([0.4, 0.0]),
+                                    GaussianPositionLikelihood(0.1), cfg, "lin",
+                                    NoiseSpec(), DT, rng)
+            steps.append((out.states.tobytes(), out.weights.tobytes(), lambdas.tobytes()))
+        assert steps[0] == steps[1] == steps[2]
 
     def test_ctx_must_be_the_newest_stored_context(self):
         history = self._history(np.random.default_rng(25), m=10)

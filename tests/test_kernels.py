@@ -81,6 +81,12 @@ def test_batch_equals_scalar_on_edge_branches():
     assert np.all(np.sum(rel * rel, axis=2)[:, 3] > CUTOFF * CUTOFF)
     assert not np.all(_assert_bitwise(states, *args))
     _assert_bitwise(np.repeat(states, 40, axis=0), *args)
+    # Relative velocity exactly at a cone's disc centre where the arc, not a leg, wins.
+    x = np.array([1.369616873214543, -2.302132862361297])
+    half_sum, tau = 0.13687617154257523 / 2, 0.5
+    at_center = np.tile(np.concatenate([[0.0, 0.0], x / tau, x / tau]), (16, 1))
+    _assert_bitwise(at_center, half_sum, 6.0, x[None], np.zeros((1, 2)), np.full(1, half_sum),
+                    tau, DT, CUTOFF)
 
 
 def test_batch_equals_scalar_on_a_tracking_trial(monkeypatch):
