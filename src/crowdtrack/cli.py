@@ -165,6 +165,8 @@ def apply_setting(cfg: RunConfig, key: str, raw: str) -> RunConfig:
     spec = PROTOCOL_KEYS.get(grid_key) if grid_key else RUN_KEYS.get(key, PROTOCOL_KEYS.get(key))
     if spec is None:
         raise ConfigError(key, "not a protocol key" if grid_key else "unknown configuration key")
+    if grid_key == "rvo.dt":
+        raise ConfigError(grid_key, "a sweep runs at its scenarios' dt and cannot vary it")
     try:
         if grid_key:
             value = tuple(spec.parse(chunk.strip()) for chunk in raw.split(";") if chunk.strip())

@@ -25,6 +25,10 @@ from .rvo import RvoParams, as_vec, crowd_step
 #: Preferred walking speed of generated agents (m/s), recorded in each scenario's meta.
 PREF_SPEED = 1.3
 
+#: Most frames in a row in which no agent is observed that a trajectory file may
+#: imply; a longer gap is read as a typo, and the grid stays within 101 frames a row.
+MAX_EMPTY_FRAMES = 100
+
 
 class MalformedRow(ValueError):
     def __init__(self, line_number: int, message: str):
@@ -132,14 +136,19 @@ def _grid_frames(entries: Dict[int, List[Tuple[int, np.ndarray]]], step: int,
                  origin: int) -> List[Frame]:
     """Frames at every ``step``-th number from the first in ``entries`` to the last,
     time index (number - origin) // step; a number ``entries`` lacks is a frame in
-    which no agent is observed.  Raises ValueError on a number off that grid."""
-    first = min(entries)
-    for number in entries:
+    which no agent is observed.  Raises ValueError on a number off that grid or
+    one after more than `MAX_EMPTY_FRAMES` empty frames."""
+    numbers = sorted(entries)
+    first = numbers[0]
+    for before, number in zip([first] + numbers, numbers):
         if (number - first) % step:
             raise ValueError(f"frame {number} must lie on the grid of step {step} "
                              f"from frame {first}")
+        if number - before > (MAX_EMPTY_FRAMES + 1) * step:
+            raise ValueError(f"frame {number} must follow frame {before} with at most "
+                             f"{MAX_EMPTY_FRAMES} empty frames between")
     return [Frame((number - origin) // step, entries.get(number, []))
-            for number in range(first, max(entries) + 1, step)]
+            for number in range(first, numbers[-1] + 1, step)]
 
 
 def _parse_csv_fixy(text: str, name: str) -> Scenario:
@@ -197,7 +206,10 @@ def _parse_obsmat(text: str, name: str) -> Scenario:
     """ETH-style rows `frame id x z y vx vz vy`; only (x, y) are used.
 
     Raw frame numbers step by their most frequent difference (one stray number
-    would make the smallest 1), 0.4 s per step as in ETH/UCY; the first is frame 0.
+    would make the smallest 1), 0.4 s per step; the first is frame 0.  ETH's
+    sequences are annotated every 0.4 s, every 6th video frame in seq_eth and
+    every 10th in seq_hotel (Pellegrini et al., ICCV 2009); the rule is not
+    checked on those files, none of which is in this repository.
     """
     entries: Dict[int, List[Tuple[int, np.ndarray]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

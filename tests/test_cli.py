@@ -246,6 +246,8 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (["predict", "--input", "dt_tiny.csv"], 4, "dt"),
     (["predict", "--input", "x_overflow.csv"], 4, "dt"),
     (["predict", "--input", "off_grid.txt", "--format", "obsmat"], 4, "frame 17"),
+    (["predict", "--input", "far_gap.csv"], 4, "frame 1000000000"),
+    (["predict", "--input", "far_gap.txt", "--format", "obsmat"], 4, "frame 1000000000"),
 ], ids=lambda v: v[-1] if isinstance(v, list) else None)
 def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, argv, code, key):
     monkeypatch.chdir(tmp_path)
@@ -257,7 +259,11 @@ def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, arg
     (tmp_path / "x_overflow.csv").write_text("frame,id,x,y\n0,1,1e308,0.0\n1,1,-1e308,0.0\n")
     (tmp_path / "off_grid.txt").write_text("".join(f"{n} 1 0.0 0.0 0.0 0.0 0.0 0.0\n"
                                                    for n in (0, 10, 17, 20, 30)))
+    far = (0, 1, 1000000000)
+    (tmp_path / "far_gap.csv").write_text("frame,id,x,y\n" + "".join(f"{n},1,0.0,0.0\n" for n in far))
+    (tmp_path / "far_gap.txt").write_text("".join(f"{n} 1 0.0 0.0 0.0 0.0 0.0 0.0\n" for n in far))
     assert run(argv + ["--out", tmp_path / "x"]) == code
+    assert code == 3 or not (tmp_path / "x").exists()
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert {2: f"'{key}'", 3: key, 4: f"{key} must"}[code] in err

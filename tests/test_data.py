@@ -5,8 +5,9 @@ import pytest
 
 from crowdtrack import (BodySpec, corrupt, make_scenario, parse_trajectories,
                         write_trajectories)
-from crowdtrack.data import (EmptyFile, MalformedRow, NonMonotoneFrames, OverlappingScenario,
-                             min_pairwise_separation, simulate_goal_driven)
+from crowdtrack.data import (MAX_EMPTY_FRAMES, EmptyFile, MalformedRow, NonMonotoneFrames,
+                             OverlappingScenario, min_pairwise_separation,
+                             simulate_goal_driven)
 
 
 def positions_digest(cases):
@@ -64,6 +65,17 @@ class TestParseCsvFixy:
         assert [f.time_index for f in s.frames] == [0, 1, 2, 3, 4, 5]
         assert [f.entries for f in s.frames[2:5]] == [[], [], []]
         assert sorted(s.positions_by_agent()[1]) == [0, 1, 5]
+
+    def test_a_gap_holds_at_most_max_empty_frames(self, tmp_path):
+        # The bound keeps the grid within a fixed number of frames per row read.
+        path = tmp_path / "gap.csv"
+        last = MAX_EMPTY_FRAMES + 2
+        path.write_text(f"frame,id,x,y\n0,1,0.0,0.0\n1,1,0.4,0.0\n{last},1,2.0,0.0\n")
+        assert parse_trajectories(path).n_frames == last + 1
+        path.write_text(f"frame,id,x,y\n0,1,0.0,0.0\n1,1,0.4,0.0\n{last + 1},1,2.0,0.0\n")
+        with pytest.raises(ValueError, match=f"frame {last + 1} must follow frame 1 "
+                                             f"with at most {MAX_EMPTY_FRAMES} empty"):
+            parse_trajectories(path)
 
     def test_round_trip_is_identity(self, tmp_path):
         s = make_scenario("crossing", 4, seed=3, steps=20, dt=0.25)

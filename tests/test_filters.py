@@ -432,16 +432,16 @@ class TestHpfStep:
         v1 = np.array([1.0, 1.0, 1.0])
         w1 = np.array([0.2, 0.5, 0.3])
 
-        def mk(ps, vs, ws, t):
+        def mk(ps, vs, ws):
             states = np.zeros((3, 6))
             states[:, 0] = ps
             states[:, 2] = vs
             states[:, 4] = vs
-            return ParticleSet(states, ws, t)
+            return ParticleSet(states, ws)
 
         history = FilterHistory(2)
-        history.push(mk(p2, v2, w2, 0), empty_ctx())
-        history.push(mk(p1, v1, w1, 1), empty_ctx())
+        history.push(mk(p2, v2, w2), empty_ctx())
+        history.push(mk(p1, v1, w1), empty_ctx())
         y = 0.81
         pi = (0.91, 0.09)
         cfg = HpfConfig(order_k=2, pi=pi, particles_m=3)
