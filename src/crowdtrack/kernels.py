@@ -1,8 +1,11 @@
 """Geometry kernels for velocity-obstacle avoidance.
 
-The scalar kernels operate on plain floats and float64 arrays, one agent
-(one particle row) at a time.  :func:`rvo_velocity_batch` is the entry point
-the program calls: batches of at least :data:`BATCH_MIN_ROWS` rows run
+The scalar kernels take Python floats, with half-planes and neighbours in
+nested lists indexed ``[i][0]``, one agent (one particle row) at a time.
+:func:`rvo_velocity_batch` is the entry point the program calls, and it
+converts arrays and numbers to these types once, where they enter: numpy
+scalars give the same IEEE results at several times the cost per operation.
+Batches of at least :data:`BATCH_MIN_ROWS` rows run
 :func:`rvo_velocity_rows`, which does the same floating-point operations
 elementwise over (rows, neighbours) numpy arrays and so returns bitwise the
 same velocities; smaller batches, such as the scenario generator's and the
@@ -22,15 +25,19 @@ Conventions
   truncation arc on the disc of radius r/tau centered at x/tau.
 """
 
+import math
+
 import numpy as np
 
 # Tolerance for parallel-direction determinants in the linear programs.
 _EPS = 1e-10
 
-#: Batches with fewer rows run the scalar kernel row by row: below about 12
-#: rows numpy's per-call overhead makes the vectorised path the slower one
-#: (6x slower on a 1-row call with 7 neighbours; numpy 2.4, x86-64).
-BATCH_MIN_ROWS = 16
+#: Batches with fewer rows run the scalar kernel row by row, where numpy's
+#: per-call overhead makes the vectorised path the slower one.  Mean of six
+#: random batches, scalar vs vectorised (numpy 2.4, Python 3.11, x86-64):
+#: 2 neighbours, 40 rows 283 vs 314 us and 48 rows 369 vs 339 us; 7 neighbours,
+#: 48 rows 1.19 vs 1.41 ms and 56 rows 1.62 vs 1.60 ms; 1 row 7.5 vs 240 us.
+BATCH_MIN_ROWS = 48
 
 
 def vo_closest_boundary(rel_px, rel_py, radius_sum, tau, vx, vy):
@@ -44,17 +51,19 @@ def vo_closest_boundary(rel_px, rel_py, radius_sum, tau, vx, vy):
     cx = rel_px / tau
     cy = rel_py / tau
     rho = radius_sum / tau
-    c_norm = np.sqrt(cx * cx + cy * cy)
+    c_norm = math.sqrt(cx * cx + cy * cy)
+    if c_norm == 0.0:
+        c_norm = np.float64(0.0)  # |x / tau| underflowed: divide to inf or nan, as numpy does
     ax = cx / c_norm  # unit cone axis
     ay = cy / c_norm
     sin_half = rho / c_norm  # sine of the half-aperture
     cos2 = 1.0 - sin_half * sin_half
     if cos2 < 0.0:
         cos2 = 0.0
-    cos_half = np.sqrt(cos2)
+    cos_half = math.sqrt(cos2)
     tangent_dist = c_norm * cos_half  # origin -> tangent point distance
 
-    best = np.inf
+    best = math.inf
     bqx = 0.0
     bqy = 0.0
     bnx = 0.0
@@ -68,7 +77,7 @@ def vo_closest_boundary(rel_px, rel_py, radius_sum, tau, vx, vy):
         s = tangent_dist
     qx = s * ldx
     qy = s * ldy
-    d = np.sqrt((qx - vx) * (qx - vx) + (qy - vy) * (qy - vy))
+    d = math.sqrt((qx - vx) * (qx - vx) + (qy - vy) * (qy - vy))
     if d < best:
         best = d
         bqx = qx
@@ -84,7 +93,7 @@ def vo_closest_boundary(rel_px, rel_py, radius_sum, tau, vx, vy):
         s = tangent_dist
     qx = s * rdx
     qy = s * rdy
-    d = np.sqrt((qx - vx) * (qx - vx) + (qy - vy) * (qy - vy))
+    d = math.sqrt((qx - vx) * (qx - vx) + (qy - vy) * (qy - vy))
     if d < best:
         best = d
         bqx = qx
@@ -95,7 +104,7 @@ def vo_closest_boundary(rel_px, rel_py, radius_sum, tau, vx, vy):
     # Truncation arc, valid on the near side between the tangent points.
     wx = vx - cx
     wy = vy - cy
-    w_norm = np.sqrt(wx * wx + wy * wy)
+    w_norm = math.sqrt(wx * wx + wy * wy)
     if w_norm < 1e-300:
         # Relative velocity exactly at the disc center: push toward the apex.
         wux = -ax
@@ -128,9 +137,9 @@ def overlap_shift(rel_px, rel_py, radius_sum, dt, vx, vy):
     inv_dt = 1.0 / dt
     wx = vx - rel_px * inv_dt
     wy = vy - rel_py * inv_dt
-    w_norm = np.sqrt(wx * wx + wy * wy)
+    w_norm = math.sqrt(wx * wx + wy * wy)
     if w_norm < 1e-300:
-        x_norm = np.sqrt(rel_px * rel_px + rel_py * rel_py)
+        x_norm = math.sqrt(rel_px * rel_px + rel_py * rel_py)
         if x_norm > 0.0:
             wux = -rel_px / x_norm
             wuy = -rel_py / x_norm
@@ -145,34 +154,33 @@ def overlap_shift(rel_px, rel_py, radius_sum, dt, vx, vy):
     return mag * wux, mag * wuy, wux, wuy
 
 
-def lp1(points, normals, index, radius, opt_x, opt_y, direction_opt, res_x, res_y):
+def lp1(points, normals, index, radius, opt_x, opt_y, direction_opt):
     """Optimum restricted to the boundary line of constraint `index`.
 
     Intersects the line with the speed disc and with constraints
     0..index-1, then places the optimum on the resulting segment.  Returns
-    (ok, x, y); ok is False when the segment is empty.
+    (x, y), or None when the segment is empty.
     """
-    px = points[index, 0]
-    py = points[index, 1]
-    nx = normals[index, 0]
-    ny = normals[index, 1]
+    px, py = points[index]
+    nx, ny = normals[index]
     dx = ny
     dy = -nx
     dot_pd = px * dx + py * dy
     disc = dot_pd * dot_pd + radius * radius - px * px - py * py
     if disc < 0.0:
         # The constraint line misses the speed disc entirely.
-        return False, res_x, res_y
-    root = np.sqrt(disc)
+        return None
+    root = math.sqrt(disc)
     t_left = -dot_pd - root
     t_right = -dot_pd + root
 
     for j in range(index):
-        denom = dx * normals[j, 0] + dy * normals[j, 1]
-        num = (px - points[j, 0]) * normals[j, 0] + (py - points[j, 1]) * normals[j, 1]
+        (qx, qy), (mx, my) = points[j], normals[j]
+        denom = dx * mx + dy * my
+        num = (px - qx) * mx + (py - qy) * my
         if -_EPS < denom < _EPS:
             if num < 0.0:
-                return False, res_x, res_y
+                return None
             continue
         t = -num / denom
         if denom > 0.0:
@@ -182,7 +190,7 @@ def lp1(points, normals, index, radius, opt_x, opt_y, direction_opt, res_x, res_
             if t < t_right:
                 t_right = t
         if t_left > t_right:
-            return False, res_x, res_y
+            return None
 
     if direction_opt:
         if opt_x * dx + opt_y * dy > 0.0:
@@ -195,15 +203,15 @@ def lp1(points, normals, index, radius, opt_x, opt_y, direction_opt, res_x, res_
             t = t_left
         elif t > t_right:
             t = t_right
-    return True, px + t * dx, py + t * dy
+    return px + t * dx, py + t * dy
 
 
-def lp2(points, normals, count, radius, opt_x, opt_y, direction_opt):
+def lp2(points, normals, radius, opt_x, opt_y, direction_opt):
     """Incremental 2D program: closest point to the objective in the feasible set.
 
     Constraints are processed in the given order; whenever the current
     optimum violates one, it is re-projected onto that constraint's boundary
-    (lp1).  Returns (fail_index, x, y) with fail_index == count on success.
+    (lp1).  Returns (fail_index, x, y) with fail_index == len(points) on success.
     """
     if direction_opt:
         # opt is a unit direction: start on the disc boundary.
@@ -212,24 +220,23 @@ def lp2(points, normals, count, radius, opt_x, opt_y, direction_opt):
     else:
         opt_norm2 = opt_x * opt_x + opt_y * opt_y
         if opt_norm2 > radius * radius:
-            scale = radius / np.sqrt(opt_norm2)
+            scale = radius / math.sqrt(opt_norm2)
             res_x = opt_x * scale
             res_y = opt_y * scale
         else:
             res_x = opt_x
             res_y = opt_y
 
-    for i in range(count):
-        if (res_x - points[i, 0]) * normals[i, 0] + (res_y - points[i, 1]) * normals[i, 1] < 0.0:
-            ok, new_x, new_y = lp1(points, normals, i, radius, opt_x, opt_y, direction_opt, res_x, res_y)
-            if not ok:
+    for i, ((px, py), (nx, ny)) in enumerate(zip(points, normals)):
+        if (res_x - px) * nx + (res_y - py) * ny < 0.0:
+            new = lp1(points, normals, i, radius, opt_x, opt_y, direction_opt)
+            if new is None:
                 return i, res_x, res_y
-            res_x = new_x
-            res_y = new_y
-    return count, res_x, res_y
+            res_x, res_y = new
+    return len(points), res_x, res_y
 
 
-def lp3(points, normals, count, begin, radius, res_x, res_y):
+def lp3(points, normals, begin, radius, res_x, res_y):
     """Fallback program: minimize the largest violation depth.
 
     Runs when the feasible region is empty.  Starting from the last lp2
@@ -239,49 +246,49 @@ def lp3(points, normals, count, begin, radius, res_x, res_y):
     is put back on the speed disc when it lies outside by more than rounding.
     """
     distance = 0.0
-    proj_p = np.empty((count, 2))
-    proj_n = np.empty((count, 2))
-    for i in range(begin, count):
-        if (points[i, 0] - res_x) * normals[i, 0] + (points[i, 1] - res_y) * normals[i, 1] > distance:
-            dix = normals[i, 1]
-            diy = -normals[i, 0]
-            m = 0
+    for i in range(begin, len(points)):
+        (pix, piy), (nix, niy) = points[i], normals[i]
+        if (pix - res_x) * nix + (piy - res_y) * niy > distance:
+            dix = niy
+            diy = -nix
+            proj_p = []
+            proj_n = []
             for j in range(i):
-                djx = normals[j, 1]
-                djy = -normals[j, 0]
+                (pjx, pjy), (njx, njy) = points[j], normals[j]
+                djx = njy
+                djy = -njx
                 determinant = dix * djy - diy * djx
                 if -_EPS <= determinant <= _EPS:
                     if dix * djx + diy * djy > 0.0:
                         # Same direction: constraint j is redundant here.
                         continue
-                    ppx = 0.5 * (points[i, 0] + points[j, 0])
-                    ppy = 0.5 * (points[i, 1] + points[j, 1])
+                    ppx = 0.5 * (pix + pjx)
+                    ppy = 0.5 * (piy + pjy)
                 else:
-                    t = (djx * (points[i, 1] - points[j, 1]) - djy * (points[i, 0] - points[j, 0])) / determinant
-                    ppx = points[i, 0] + t * dix
-                    ppy = points[i, 1] + t * diy
+                    t = (djx * (piy - pjy) - djy * (pix - pjx)) / determinant
+                    ppx = pix + t * dix
+                    ppy = piy + t * diy
                 bdx = djx - dix
                 bdy = djy - diy
-                b_norm = np.sqrt(bdx * bdx + bdy * bdy)
+                b_norm = math.sqrt(bdx * bdx + bdy * bdy)
+                if b_norm == 0.0:
+                    b_norm = np.float64(0.0)  # two zero normals: 0 / 0 is nan, as in numpy
                 bdx /= b_norm
                 bdy /= b_norm
-                proj_p[m, 0] = ppx
-                proj_p[m, 1] = ppy
-                proj_n[m, 0] = -bdy
-                proj_n[m, 1] = bdx
-                m += 1
-            fail, cand_x, cand_y = lp2(proj_p, proj_n, m, radius, normals[i, 0], normals[i, 1], True)
-            if fail >= m:
+                proj_p.append([ppx, ppy])
+                proj_n.append([-bdy, bdx])
+            fail, cand_x, cand_y = lp2(proj_p, proj_n, radius, nix, niy, True)
+            if fail >= len(proj_p):
                 # In exact arithmetic this program is always feasible; keep
                 # the previous iterate if rounding says otherwise.
                 res_x = cand_x
                 res_y = cand_y
-            distance = (points[i, 0] - res_x) * normals[i, 0] + (points[i, 1] - res_y) * normals[i, 1]
+            distance = (pix - res_x) * nix + (piy - res_y) * niy
     # Two nearly antiparallel constraints meet on a bisector point far out
     # (about 1e4 m/s), and lp1's disc then loses about 1e-8 to cancellation,
     # so the iterate can land beyond the speed disc by far more than
     # rounding.  Put it back on the disc; iterates off by only rounding stay.
-    speed = np.sqrt(res_x * res_x + res_y * res_y)
+    speed = math.sqrt(res_x * res_x + res_y * res_y)
     if speed > radius * (1.0 + 1e-12):
         scale = radius / speed
         res_x = res_x * scale
@@ -289,48 +296,45 @@ def lp3(points, normals, count, begin, radius, res_x, res_y):
     return res_x, res_y
 
 
-def solve_velocity_kernel(points, normals, count, max_speed, des_x, des_y):
+def solve_velocity_kernel(points, normals, max_speed, des_x, des_y):
     """Closest admissible velocity to the desired one.
 
     Returns (feasible, vx, vy).  When the half-plane intersection with the
     speed disc is empty, (vx, vy) is the least-violation fallback.
     """
-    fail, res_x, res_y = lp2(points, normals, count, max_speed, des_x, des_y, False)
-    if fail < count:
-        res_x, res_y = lp3(points, normals, count, fail, max_speed, res_x, res_y)
+    fail, res_x, res_y = lp2(points, normals, max_speed, des_x, des_y, False)
+    if fail < len(points):
+        res_x, res_y = lp3(points, normals, fail, max_speed, res_x, res_y)
         return False, res_x, res_y
     return True, res_x, res_y
 
 
 def build_halfplanes(px, py, vx, vy, radius, nbr_pos, nbr_vel, nbr_rad,
-                     tau, dt, neighbor_radius, out_points, out_normals):
-    """Fill one permitted-velocity half-plane per neighbor in range.
+                     tau, dt, neighbor_radius):
+    """One permitted-velocity half-plane per neighbor in range: (points, normals).
 
     Each agent takes half of the required relative-velocity change, so the
     plane passes through v + u/2.  Overlapping neighbors produce the
     emergency separation constraint instead of the cone projection.
-    Returns the number of planes written.
     """
-    count = 0
-    for k in range(nbr_pos.shape[0]):
-        rel_px = nbr_pos[k, 0] - px
-        rel_py = nbr_pos[k, 1] - py
+    points = []
+    normals = []
+    for (qx, qy), (qvx, qvy), rad in zip(nbr_pos, nbr_vel, nbr_rad):
+        rel_px = qx - px
+        rel_py = qy - py
         dist2 = rel_px * rel_px + rel_py * rel_py
         if dist2 > neighbor_radius * neighbor_radius:
             continue
-        r_sum = radius + nbr_rad[k]
-        rvx = vx - nbr_vel[k, 0]
-        rvy = vy - nbr_vel[k, 1]
+        r_sum = radius + rad
+        rvx = vx - qvx
+        rvy = vy - qvy
         if dist2 < r_sum * r_sum:
             ux, uy, nx, ny = overlap_shift(rel_px, rel_py, r_sum, dt, rvx, rvy)
         else:
             ux, uy, nx, ny = vo_closest_boundary(rel_px, rel_py, r_sum, tau, rvx, rvy)
-        out_points[count, 0] = vx + 0.5 * ux
-        out_points[count, 1] = vy + 0.5 * uy
-        out_normals[count, 0] = nx
-        out_normals[count, 1] = ny
-        count += 1
-    return count
+        points.append([vx + 0.5 * ux, vy + 0.5 * uy])
+        normals.append([nx, ny])
+    return points, normals
 
 
 def rvo_velocity(px, py, vx, vy, des_x, des_y, radius, max_speed,
@@ -339,12 +343,9 @@ def rvo_velocity(px, py, vx, vy, des_x, des_y, radius, max_speed,
 
     Returns (feasible, vx_new, vy_new).
     """
-    n = nbr_pos.shape[0]
-    pts = np.empty((n, 2))
-    nms = np.empty((n, 2))
-    count = build_halfplanes(px, py, vx, vy, radius, nbr_pos, nbr_vel, nbr_rad,
-                             tau, dt, neighbor_radius, pts, nms)
-    return solve_velocity_kernel(pts, nms, count, max_speed, des_x, des_y)
+    points, normals = build_halfplanes(px, py, vx, vy, radius, nbr_pos, nbr_vel, nbr_rad,
+                                       tau, dt, neighbor_radius)
+    return solve_velocity_kernel(points, normals, max_speed, des_x, des_y)
 
 
 def rvo_velocity_batch(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
@@ -353,19 +354,17 @@ def rvo_velocity_batch(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
 
     State layout per row: [px, py, vx, vy, des_x, des_y].  Fills ``out_vel``
     (M, 2) in place.  Calls with at least :data:`BATCH_MIN_ROWS` rows run
-    :func:`rvo_velocity_rows`; smaller ones run :func:`rvo_velocity` per row.
-    Both give bitwise the same velocities.
+    :func:`rvo_velocity_rows`; smaller ones run :func:`rvo_velocity` per row,
+    on Python floats and lists.  Both give bitwise the same velocities.
     """
     if states.shape[0] >= BATCH_MIN_ROWS:
         rvo_velocity_rows(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
                           tau, dt, neighbor_radius, out_vel)
         return
-    for i in range(states.shape[0]):
-        _, ox, oy = rvo_velocity(states[i, 0], states[i, 1], states[i, 2], states[i, 3],
-                                 states[i, 4], states[i, 5], radius, max_speed,
-                                 nbr_pos, nbr_vel, nbr_rad, tau, dt, neighbor_radius)
-        out_vel[i, 0] = ox
-        out_vel[i, 1] = oy
+    args = (float(radius), float(max_speed), nbr_pos.tolist(), nbr_vel.tolist(),
+            nbr_rad.tolist(), float(tau), float(dt), float(neighbor_radius))
+    for i, row in enumerate(states.tolist()):
+        _, out_vel[i, 0], out_vel[i, 1] = rvo_velocity(*row, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +538,13 @@ def rvo_velocity_rows(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
                                                    nbr_rad, tau, dt, neighbor_radius)
         fail, res_x, res_y = _lp2_rows(px, py, nx, ny, in_range, max_speed,
                                        states[:, 4], states[:, 5])
-    for r in np.flatnonzero(fail < px.shape[1]):
-        keep = in_range[r]
-        points = np.column_stack((px[r, keep], py[r, keep]))
-        normals = np.column_stack((nx[r, keep], ny[r, keep]))
-        res_x[r], res_y[r] = lp3(points, normals, points.shape[0],
-                                 int(np.count_nonzero(keep[:fail[r]])), max_speed,
-                                 res_x[r], res_y[r])
+    bad = np.flatnonzero(fail < px.shape[1])
+    for r, keep, f, bx, by, bnx, bny in zip(bad.tolist(), in_range[bad].tolist(), fail[bad].tolist(),
+                                            px[bad].tolist(), py[bad].tolist(),
+                                            nx[bad].tolist(), ny[bad].tolist()):
+        points = [[x, y] for x, y, k in zip(bx, by, keep) if k]
+        normals = [[x, y] for x, y, k in zip(bnx, bny, keep) if k]
+        res_x[r], res_y[r] = lp3(points, normals, sum(keep[:f]), float(max_speed),
+                                 float(res_x[r]), float(res_y[r]))
     out_vel[:, 0] = res_x
     out_vel[:, 1] = res_y

@@ -99,13 +99,9 @@ def solve_velocity(halfplanes, max_speed: float, v_desire) -> VelocitySolution:
     if not (0.0 < max_speed < np.inf):
         raise ValueError("max_speed must be finite and > 0")
     v_desire = as_vec(v_desire, "v_desire")
-    n = len(halfplanes)
-    pts = np.empty((n, 2))
-    nms = np.empty((n, 2))
-    for i, hp in enumerate(halfplanes):
-        pts[i] = hp.point
-        nms[i] = hp.normal
-    feasible, vx, vy = kernels.solve_velocity_kernel(pts, nms, n, max_speed, v_desire[0], v_desire[1])
+    feasible, vx, vy = kernels.solve_velocity_kernel(
+        [hp.point.tolist() for hp in halfplanes], [hp.normal.tolist() for hp in halfplanes],
+        float(max_speed), float(v_desire[0]), float(v_desire[1]))
     return VelocitySolution(velocity=np.array([vx, vy]), feasible=bool(feasible))
 
 

@@ -1,7 +1,14 @@
 """The vectorised RVO batch kernel against the scalar per-row kernel, bit for bit."""
 
+import hashlib
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdtrack import HpfConfig, NoiseSpec, kernels
 from crowdtrack.bench import ProtocolConfig, run_tracking_protocol
@@ -12,10 +19,15 @@ ROW_COUNTS = (1, kernels.BATCH_MIN_ROWS - 1, kernels.BATCH_MIN_ROWS, 300)
 
 
 def _scalar(states, *args):
-    """Velocities and feasibility flags of the scalar kernel, one row at a time."""
+    """Velocities and feasibility flags of the scalar kernel, one row at a time.
+
+    The rows and arguments go in as the batch entry hands them on: Python
+    floats and lists.
+    """
+    args = [a.tolist() if isinstance(a, np.ndarray) else float(a) for a in args]
     out = np.empty((states.shape[0], 2))
     feasible = np.empty(states.shape[0], dtype=bool)
-    for i, row in enumerate(states):
+    for i, row in enumerate(states.tolist()):
         feasible[i], out[i, 0], out[i, 1] = kernels.rvo_velocity(*row, *args)
     return out, feasible
 
@@ -138,3 +150,124 @@ def test_fallback_stays_within_max_speed(rows):
     speeds = np.sqrt(np.sum(out * out, axis=1))
     assert np.all(speeds <= 2.5 * (1.0 + 1e-12))
     assert np.all(speeds >= 2.5 * (1.0 - 1e-12))  # still on the disc boundary
+
+
+# The least-violation fallback on its own: rvo_velocity_rows hands its
+# infeasible rows to the scalar lp3, so the tests above compare lp3 with
+# itself.  lp3_rows.json holds lp3's inputs (each row's in-range constraints,
+# the index lp2 failed at and lp2's last iterate) from the README `predict`
+# (every 65th of its 2,085 calls), the README `simulate` and criterion 7's HPF
+# trial on seed 0 (every call), captured from the numpy-scalar lp3.  The pins
+# are SHA-256 digests of its outputs as "x.hex() y.hex()" lines, computed there.
+LP3_ROWS = json.loads((Path(__file__).parent / "lp3_rows.json").read_text())
+LP3_PINS = {
+    "readme-predict": "5c850531cc53abd91a2d058f75d669ed2c5105170061a6cdc73403306cb40a9f",
+    "readme-simulate": "c7c767192475fc47ee1b348add007257fb09efc424d3cb6ea8e0e49f81d50536",
+    "corridor-hpf": "bac5a5fa2a9fc4298ca042839b683240484225e62773f5a6573c3322e25d287b",
+}
+# Branches the captured rows do not reach, with their outputs: a constraint
+# parallel to an earlier one, one exactly antiparallel (bisector through the
+# midpoint), and two zero normals, as a neighbour beyond float range gets,
+# whose bisector has length 0 (nan, not ZeroDivisionError).  Last, the
+# OVERSHOOT_ROW's fallback, which the speed-disc rescale puts back on the disc.
+LP3_EDGES = [
+    ([[0.0, 1.0], [0.0, -1.0], [0.0, -3.0], [1.0, 0.0]],
+     [[0.0, 1.0], [0.0, -1.0], [0.0, -1.0], [-1.0, 0.0]], 1, 2.0, (0.5, 1.0),
+     "-0x1.bb67ae8584caap+0 -0x1.0000000000000p+0"),
+    ([[0.0, 1.0], [0.0, 1.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 1.0], [0.0, -1.0]], 2, 2.0,
+     (0.0, 1.0), "-0x1.0000000000000p+1 0x0.0p+0"),
+    ([[3.0, 0.0], [1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], 1, 2.0,
+     (0.0, 0.0), "0x1.0000000000000p-1 0x1.efbdeb14f4edap+0"),
+    ([[-0.607857994953208, -0.5513385748260562], [-0.4780532387097216, -0.7758280678142759]],
+     [[-0.5005849694005821, 0.8656874080233686], [0.5006047708344811, -0.8656759575139862]], 1,
+     2.5, (-0.6078579949532079, -0.5513385748260561), "0x1.265f98c909c8cp+1 0x1.f5e7ab423fe04p-1"),
+]
+
+
+def _lp3_hex(points, normals, begin, radius, iterate):
+    x, y = kernels.lp3(points, normals, begin, radius, *iterate)
+    return f"{x.hex()} {y.hex()}"
+
+
+@pytest.mark.parametrize("source", sorted(LP3_PINS))
+def test_lp3_is_bitwise_pinned_on_captured_rows(source):
+    rows = LP3_ROWS[source]
+    lines = [_lp3_hex(r["points"], r["normals"], r["begin"], r["radius"], r["iterate"])
+             for r in rows]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LP3_PINS[source]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", range(len(LP3_EDGES)))
+def test_lp3_is_bitwise_pinned_on_edge_branches(case):
+    *args, expected = LP3_EDGES[case]
+    assert _lp3_hex(*args) == expected
+
+
+def _equal_or_both_nan(a, b):
+    return (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))
+
+
+@st.composite
+def kernel_batches(draw):
+    """A batch of at least BATCH_MIN_ROWS rows around 0-6 neighbours, and its arguments.
+
+    Coordinates lie on a grid of 1/8 and tau, dt and the radii are powers of
+    two, so the exact cases happen: a relative velocity at a cone's or an
+    overlap disc's centre, zero relative velocity, exact tangency, a row on
+    top of a neighbour.  Or the rows are OVERSHOOT_ROW moved by up to 1e-6,
+    whose two constraints are nearly antiparallel.  Then everything with a
+    length is scaled by up to 1e200 (or down to 1e-170, where squares
+    underflow), and some entries may be set to +-inf or nan.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def grid(lim, shape):
+        return rng.integers(-lim, lim + 1, shape) / 8.0
+
+    rows = kernels.BATCH_MIN_ROWS + draw(st.integers(0, 16))
+    tau, dt = draw(st.sampled_from([0.5, 2.0])), draw(st.sampled_from([0.25, 0.5]))
+    if draw(st.booleans()):
+        states = np.array(OVERSHOOT_ROW) + rng.uniform(-1e-6, 1e-6, (rows, 6))
+        nbr_pos, nbr_vel, nbr_rad = (a.copy() for a in OVERSHOOT_NBRS)
+        radius, max_speed, cutoff = 0.2, 2.5, 10.0
+    else:
+        n = draw(st.integers(0, 6))
+        nbr_pos, nbr_vel = grid(24, (n, 2)), grid(8, (n, 2))
+        nbr_rad = rng.choice([0.125, 0.25], n)
+        radius = draw(st.sampled_from([0.125, 0.25]))
+        max_speed = draw(st.sampled_from([0.5, 1.5]))
+        cutoff = draw(st.sampled_from([3.0, math.inf]))
+        p, v, des = grid(24, (rows, 2)), grid(12, (rows, 2)), grid(16, (rows, 2))
+        if n:
+            k = rng.integers(0, n, rows)
+            where = rng.integers(0, 4, rows)[:, None]  # free, tangent, on top, half overlapping
+            side = np.column_stack([radius + nbr_rad[k], np.zeros(rows)])
+            p = np.select([where == 1, where == 2, where == 3],
+                          [nbr_pos[k] - side, nbr_pos[k], nbr_pos[k] - 0.5 * side], p)
+            rel = nbr_pos[k] - p
+            how = rng.integers(0, 4, rows)[:, None]  # free, cone centre, overlap centre, at rest
+            v = np.select([how == 1, how == 2, how == 3],
+                          [nbr_vel[k] + rel / tau, nbr_vel[k] + rel / dt, nbr_vel[k]], v)
+        states = np.column_stack([p, v, des])
+    scale = draw(st.sampled_from([1.0, 1e-170, 1e100, 1e160, 1e200]))
+    for a in (states, nbr_pos, nbr_vel, nbr_rad):
+        a *= scale
+        if draw(st.integers(0, 3)) == 0 and a.size:
+            a.flat[rng.integers(0, a.size, 3)] = rng.choice([np.inf, -np.inf, np.nan], 3)
+    return states, (radius * scale, max_speed * scale, nbr_pos, nbr_vel, nbr_rad, tau, dt,
+                    cutoff * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=kernel_batches())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scalar_kernel_equals_row_kernel_on_drawn_geometry(batch):
+    """Per row, the scalar kernel on floats equals the row kernel bit for bit (nan
+    equal to nan), and neither raises: no ZeroDivisionError from an exact 0
+    divisor, no ValueError from a negative square root, no OverflowError."""
+    states, args = batch
+    expected, _ = _scalar(states, *args)
+    out = np.full((states.shape[0], 2), 42.0)
+    kernels.rvo_velocity_rows(states, *args, out)
+    assert np.all(_equal_or_both_nan(out, expected))

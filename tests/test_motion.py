@@ -128,10 +128,12 @@ class TestRvoDelegatedInvariant:
             other = state(other_pos, rng.uniform(-1, 1, 2))
             ctx = CrowdContext(others=[other], params=params, self_body=body)
             out = predict("rvo", me, ctx)
-            point, normal = np.empty((1, 2)), np.empty((1, 2))
-            assert build_halfplanes(*me[0:4], body.radius, other[None, 0:2], other[None, 2:4],
-                                    np.array([body.radius]), params.time_horizon_tau,
-                                    params.dt, params.neighbor_radius, point, normal) == 1
+            point, normal = build_halfplanes(*me[0:4].tolist(), body.radius, [other[0:2].tolist()],
+                                             [other[2:4].tolist()], [body.radius],
+                                             params.time_horizon_tau, params.dt,
+                                             params.neighbor_radius)
+            assert len(point) == 1
+            point, normal = np.array(point), np.array(normal)
             # The plane's permitted side is collision-free next to its
             # anchor v + u/2, where the relative velocity reaches the cone.
             rel_pos = other[0:2] - me[0:2]

@@ -34,12 +34,10 @@ def assert_normal_points_out(rel_pos, r_sum, tau, q, n, eps=1e-6):
 
 def halfplane(pa, va, ra, pb, vb, rb, tau):
     """Agent a's permitted half-plane against b from `build_halfplanes`: (point, normal)."""
-    points, normals = np.empty((1, 2)), np.empty((1, 2))
-    count = build_halfplanes(pa[0], pa[1], va[0], va[1], ra,
-                             np.array([pb], float), np.array([vb], float), np.array([rb], float),
-                             tau, 0.4, np.inf, points, normals)
-    assert count == 1
-    return points[0], normals[0]
+    pa, va, pb, vb = (np.asarray(v, float).tolist() for v in (pa, va, pb, vb))
+    points, normals = build_halfplanes(*pa, *va, ra, [pb], [vb], [rb], tau, 0.4, np.inf)
+    assert len(points) == 1
+    return np.array(points[0]), np.array(normals[0])
 
 
 class TestVoContains:
