@@ -53,7 +53,7 @@ def vo_closest_boundary(rel_px, rel_py, radius_sum, tau, vx, vy):
     rho = radius_sum / tau
     c_norm = math.sqrt(cx * cx + cy * cy)
     if c_norm == 0.0:
-        c_norm = np.float64(0.0)  # |x / tau| underflowed: divide to inf or nan, as numpy does
+        c_norm = np.float64(0.0)  # x / tau is 0 or too small to square: inf or nan, as in numpy
     ax = cx / c_norm  # unit cone axis
     ay = cy / c_norm
     sin_half = rho / c_norm  # sine of the half-aperture

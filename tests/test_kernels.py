@@ -15,7 +15,8 @@ from crowdtrack.bench import ProtocolConfig, run_tracking_protocol
 from crowdtrack.data import corrupt, make_scenario
 
 TAU, DT, CUTOFF = 2.0, 0.5, 3.0
-ROW_COUNTS = (1, kernels.BATCH_MIN_ROWS - 1, kernels.BATCH_MIN_ROWS, 300)
+# Small batches, both sides of BATCH_MIN_ROWS, and a large one.
+ROW_COUNTS = (1, 15, 16, kernels.BATCH_MIN_ROWS - 1, kernels.BATCH_MIN_ROWS, 300)
 
 
 def _scalar(states, *args):
@@ -140,7 +141,7 @@ OVERSHOOT_NBRS = (np.array([[8.318181801591699, -0.19204898752695665],
                   np.full(2, 0.2))
 
 
-@pytest.mark.parametrize("rows", [1, kernels.BATCH_MIN_ROWS])
+@pytest.mark.parametrize("rows", [1, 16, kernels.BATCH_MIN_ROWS])
 def test_fallback_stays_within_max_speed(rows):
     states = np.array([OVERSHOOT_ROW] * rows)
     args = (0.2, 2.5, *OVERSHOOT_NBRS, 2.0, 0.4, 10.0)
@@ -217,8 +218,9 @@ def kernel_batches(draw):
     overlap disc's centre, zero relative velocity, exact tangency, a row on
     top of a neighbour.  Or the rows are OVERSHOOT_ROW moved by up to 1e-6,
     whose two constraints are nearly antiparallel.  Then everything with a
-    length is scaled by up to 1e200 (or down to 1e-170, where squares
-    underflow), and some entries may be set to +-inf or nan.
+    length is scaled by a power of two, which keeps those cases exact, up to
+    about 1e200 (or down to about 1e-170, where squares underflow), and some
+    entries may be set to +-inf or nan.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -250,7 +252,7 @@ def kernel_batches(draw):
             v = np.select([how == 1, how == 2, how == 3],
                           [nbr_vel[k] + rel / tau, nbr_vel[k] + rel / dt, nbr_vel[k]], v)
         states = np.column_stack([p, v, des])
-    scale = draw(st.sampled_from([1.0, 1e-170, 1e100, 1e160, 1e200]))
+    scale = 2.0 ** draw(st.sampled_from([0, -565, 332, 531, 664]))
     for a in (states, nbr_pos, nbr_vel, nbr_rad):
         a *= scale
         if draw(st.integers(0, 3)) == 0 and a.size:
