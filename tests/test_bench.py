@@ -5,7 +5,8 @@ import pytest
 
 from crowdtrack import (BodySpec, HpfConfig, NoiseSpec, RvoParams, Scenario,
                         classify_track, corrupt, crowd_step, make_scenario,
-                        run_prediction_protocol, run_tracking_protocol, sweep)
+                        parse_trajectories, run_prediction_protocol,
+                        run_tracking_protocol, sweep)
 from crowdtrack.bench import JointTracker, NoEligibleTrials, ProtocolConfig
 from crowdtrack.data import Frame, ObservationTrace
 
@@ -89,6 +90,24 @@ class TestPredictionProtocol:
         assert lines[0] == "dataset,model,filter,L,mean_error_m,n_trials"
         assert len(lines) == 4
 
+    def test_occlusion_at_a_first_fix_skips_the_whole_start(self):
+        # Two walkers, 50 frames: starts 0, 16 and 32 reach horizons (5, 15, 30),
+        # (5, 15) and (5).  An agent occluded at t0 or t0 + 1 has no first fix,
+        # so that start runs no trial for any agent.
+        scenario = linear_scenario(lanes=(0.0, 1.0))
+        cfg = ProtocolConfig(noise=NoiseSpec(0.0, 0.0, 0.0),
+                             hpf=HpfConfig(order_k=1, pi=(1.0,), particles_m=20))
+
+        def trials(occlusions):
+            trace = corrupt(scenario, 0.0, occlusions, seed=0)
+            report = run_prediction_protocol(scenario, "lin", "pf", cfg, seed=0, trace=trace)
+            return [r.n_trials for r in report.rows]
+
+        assert trials(()) == [6, 4, 2]
+        assert trials([(1, 17, 1)]) == [4, 2, 2]
+        assert trials([(0, 32, 1)]) == [4, 4, 2]
+        assert trials([(0, 5, 3)]) == [6, 4, 2]  # inside the learning window: no skip
+
 
 class TestTrackingProtocol:
     def test_clean_trace_all_success(self):
@@ -134,6 +153,20 @@ class TestTrackingProtocol:
         st, ids, lost = report.counts()
         assert st + ids + lost == len(report.outcomes)
         assert len(report.outcomes) > 0
+
+    def test_start_without_an_agent_at_t0_and_t0_plus_1_tracks_nothing(self, tmp_path):
+        # One walker in a 65-frame csv-fixy file without frame 17: start 16 has
+        # no agent present at both 16 and 17, so only starts 0, 32 and 48 yield
+        # outcomes (48 reaches horizon 16 only).
+        path = tmp_path / "gap.csv"
+        path.write_text("frame,id,x,y\n" + "".join(f"{t},0,{0.4 * t!r},0.0\n"
+                                                    for t in range(65) if t != 17))
+        scenario = parse_trajectories(path)
+        trace = corrupt(scenario, 0.0, (), seed=0)
+        cfg = ProtocolConfig(hpf=HpfConfig(order_k=1, pi=(1.0,), particles_m=20))
+        report = run_tracking_protocol(scenario, trace, "lin", "pf", cfg, seed=0)
+        assert [(o.start, o.horizon) for o in report.outcomes] == [
+            (0, 16), (0, 24), (32, 16), (32, 24), (48, 16)]
 
     def test_no_reachable_horizon(self):
         scenario = make_scenario("corridor", 2, seed=5, steps=5)
