@@ -6,7 +6,7 @@ from .motion import AgentState, BodySpec, CrowdContext, NoiseSpec, resolve_model
 from .filters import (FilterHistory, HpfConfig, InsufficientHistory,
                       ParticleSet, hpf_step, pf_step,
                       posterior_mean, resample)
-from .data import (Frame, ObservationTrace, Scenario, corrupt, make_scenario,
+from .data import (Frame, Scenario, Trace, corrupt, make_scenario,
                    parse_trajectories, write_trajectories)
 from .bench import (GaussianPositionLikelihood, PredictionReport, TrackOutcome,
                     TrackReport, classify_track, run_prediction_protocol,

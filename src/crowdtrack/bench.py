@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import NonFiniteMotion, ObservationTrace, Scenario
+from .data import NonFiniteMotion, Scenario, Trace
 from .filters import FilterHistory, HpfConfig, ParticleSet, hpf_step, init_particles
 from .motion import BodySpec, CrowdContext, NoiseSpec, resolve_model, step_mean
 from .rvo import RvoParams, crowd_step
@@ -168,7 +168,8 @@ class JointTracker:
     Every agent's particles interact with the *previous* frame's posterior
     means of the other agents; new means are published only after all agents
     finished the frame.  ``means`` holds them as one (agents, 6) array of
-    state rows in ``ids`` order.  Steps span ``dt``, the scenario's interval.
+    state rows in ``ids`` order.  Steps span ``dt``, the scenario's interval,
+    and score observations with ``cfg.sigma_obs``.
     """
 
     def __init__(self, init_fixes: Dict[int, Tuple[np.ndarray, np.ndarray]],
@@ -185,6 +186,7 @@ class JointTracker:
         self.noise = cfg.noise if adaptive else replace(cfg.noise, sigma_desired=0.0)
         self.params = replace(cfg.params, dt=dt)
         self.body = cfg.body
+        self.obs_model = GaussianPositionLikelihood(cfg.sigma_obs)
         self.rng = rng
         self.ids = sorted(init_fixes)
         self.histories = [FilterHistory(hpf.order_k) for _ in self.ids]
@@ -201,14 +203,14 @@ class JointTracker:
             others = np.delete(self.means, i, axis=0)
             self.histories[i].push(pset, CrowdContext(others, self.params, self.body))
 
-    def step(self, observations: Dict[int, Optional[np.ndarray]], obs_model):
+    def step(self, observations: Dict[int, Optional[np.ndarray]]):
         """Advance every agent one frame.
 
         ``observations`` maps agent id to a position or None (occluded); an
         id it lacks reads as None, so a trace frame is passed as it is.
         """
         self._publish([
-            hpf_step(history, history.context(1), observations.get(agent_id), obs_model,
+            hpf_step(history, history.context(1), observations.get(agent_id), self.obs_model,
                      self.hpf, self.model, self.noise, self.params.dt, self.rng)[0]
             for agent_id, history in zip(self.ids, self.histories)])
 
@@ -385,63 +387,50 @@ def configure(base: ProtocolConfig, settings: Dict[str, object]) -> ProtocolConf
 def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
                             filter_kind: str = "hpf",
                             cfg: Optional[ProtocolConfig] = None, seed: int = 0,
-                            trace: Optional[ObservationTrace] = None) -> PredictionReport:
+                            trace: Optional[Trace] = None) -> PredictionReport:
     """Two-phase learn/predict evaluation over a scenario.
 
     From every ``start_stride``-th frame: agents present through the whole
     learning window are filtered for ``learn_steps`` frames on observations,
-    ground-truth positions or ``trace.frames[k]`` ({agent id: position, or
-    None while occluded}), then extrapolated open loop without observations;
-    the Euclidean error of the published mean at each horizon is averaged
-    over all (trial, agent) pairs that reach it.
+    ground-truth positions or ``trace[k]`` ({agent id: position, or None
+    while occluded}), then extrapolated open loop without observations; a
+    start where one of them is unobserved at t0 or t0 + 1 is skipped.  The
+    Euclidean error of the published mean at each horizon is averaged over
+    all (trial, agent) pairs that reach it.
     """
     cfg = cfg or ProtocolConfig()
-    obs_model = GaussianPositionLikelihood(cfg.sigma_obs)
-    tracks = scenario.positions_by_agent()
-    observed = [dict(f.entries) for f in scenario.frames] if trace is None else trace.frames
-    n = scenario.n_frames
+    truth = [dict(f.entries) for f in scenario.frames]
+    observed = truth if trace is None else trace
+    n = len(truth)
     errors: Dict[int, List[float]] = {h: [] for h in cfg.prediction_horizons}
     rng = np.random.default_rng(seed)
     any_trial = False
 
-    for t0 in range(0, n, cfg.start_stride):
+    for t0 in range(0, n - cfg.learn_steps, cfg.start_stride):
         learn_end = t0 + cfg.learn_steps
-        if learn_end + 1 > n:
-            continue
-        eligible = [agent_id for agent_id, series in sorted(tracks.items())
-                    if all(k in series for k in range(t0, learn_end + 1))]
-        if not eligible:
-            continue
-        init = {}
-        skip = False
-        for agent_id in eligible:
-            p0 = observed[t0].get(agent_id)
-            p1 = observed[t0 + 1].get(agent_id)
-            if p0 is None or p1 is None:
-                skip = True
-                break
-            init[agent_id] = (p0, (p1 - p0) / scenario.dt)
-        if skip:
+        eligible = sorted(set(truth[t0]).intersection(*truth[t0 + 1:learn_end + 1]))
+        fixes = {agent_id: (observed[t0].get(agent_id), observed[t0 + 1].get(agent_id))
+                 for agent_id in eligible}
+        if not eligible or any(p0 is None or p1 is None for p0, p1 in fixes.values()):
             continue
         any_trial = True
+        init = {agent_id: (p0, (p1 - p0) / scenario.dt) for agent_id, (p0, p1) in fixes.items()}
         spread = cfg.resolve_init_spread(scenario.dt, exact_observations=trace is None)
         tracker = JointTracker(init, model, filter_kind, cfg, scenario.dt, rng, spread)
         for t in range(t0 + 1, learn_end + 1):
-            tracker.step(observed[t], obs_model)
+            tracker.step(observed[t])
         available = min(cfg.predict_steps, n - 1 - learn_end)
         predicted = tracker.rollout_means(available)
-        for step in range(1, available + 1):
-            t = learn_end + step
-            if step in errors:
-                for agent_id in eligible:
-                    truth = tracks[agent_id].get(t)
-                    if truth is not None:
-                        diff = predicted[step - 1][agent_id] - truth
-                        err = float(np.linalg.norm(diff))
-                        if np.isinf(err):
-                            # The squared norm overflowed; hypot scales first.
-                            err = float(np.hypot(*diff))
-                        errors[step].append(err)
+        for h in [h for h in errors if h <= available]:
+            for agent_id in eligible:
+                own = truth[learn_end + h].get(agent_id)
+                if own is not None:
+                    diff = predicted[h - 1][agent_id] - own
+                    err = float(np.linalg.norm(diff))
+                    if np.isinf(err):
+                        # The squared norm overflowed; hypot scales first.
+                        err = float(np.hypot(*diff))
+                    errors[h].append(err)
 
     if not any_trial:
         raise NoEligibleTrials(
@@ -454,49 +443,43 @@ def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
     return PredictionReport(rows)
 
 
-def run_tracking_protocol(scenario: Scenario, trace: ObservationTrace,
+def run_tracking_protocol(scenario: Scenario, trace: Trace,
                           model: str = "rvo+", filter_kind: str = "hpf",
                           cfg: Optional[ProtocolConfig] = None, seed: int = 0) -> TrackReport:
     """Replay a trace, classify each track at the configured horizons.
 
-    Trackers start from ground-truth positions at every ``start_stride``-th
-    frame and run for at most ``track_steps`` frames on the observations
-    ``trace.frames[k]`` ({agent id: position, or None while occluded}); each
-    horizon where the agent's ground truth still exists yields one outcome.
+    Trackers start from ground-truth positions of the agents present at t0
+    and t0 + 1, at every ``start_stride``-th frame, and run for at most
+    ``track_steps`` frames on the observations ``trace[k]`` ({agent id:
+    position, or None while occluded}); each horizon where the agent's
+    ground truth still exists yields one outcome.
     """
     cfg = cfg or ProtocolConfig()
-    obs_model = GaussianPositionLikelihood(cfg.sigma_obs)
-    tracks = scenario.positions_by_agent()
-    n = scenario.n_frames
+    truth = [dict(f.entries) for f in scenario.frames]
+    n = len(truth)
     rng = np.random.default_rng(seed)
     outcomes: List[TrackOutcome] = []
 
-    for t0 in range(0, n, cfg.start_stride):
-        if t0 + 1 >= n:
-            continue
-        agents = [agent_id for agent_id, series in sorted(tracks.items())
-                  if t0 in series and (t0 + 1) in series]
-        if len(agents) == 0:
+    for t0 in range(0, n - 1, cfg.start_stride):
+        agents = sorted(truth[t0].keys() & truth[t0 + 1].keys())
+        if not agents:
             continue
         init = {}
         for agent_id in agents:
-            p0 = tracks[agent_id][t0]
-            obs1 = trace.frames[t0 + 1].get(agent_id)
-            v0 = np.zeros(2) if obs1 is None else (obs1 - p0) / scenario.dt
-            init[agent_id] = (p0, v0)
+            p0 = truth[t0][agent_id]
+            obs1 = trace[t0 + 1].get(agent_id)
+            init[agent_id] = (p0, np.zeros(2) if obs1 is None else (obs1 - p0) / scenario.dt)
         spread = cfg.resolve_init_spread(scenario.dt, exact_observations=False)
         tracker = JointTracker(init, model, filter_kind, cfg, scenario.dt, rng, spread)
-        horizon = min(cfg.track_steps, n - 1 - t0)
-        for step in range(1, horizon + 1):
+        for step in range(1, min(cfg.track_steps, n - 1 - t0) + 1):
             t = t0 + step
-            tracker.step(trace.frames[t], obs_model)
+            tracker.step(trace[t])
             if step in cfg.tracking_horizons:
-                frame = scenario.frames[t]
                 for agent_id in agents:
-                    own = tracks[agent_id].get(t)
+                    own = truth[t].get(agent_id)
                     if own is None:
                         continue
-                    others = [pos for other_id, pos in frame.entries if other_id != agent_id]
+                    others = [pos for other_id, pos in truth[t].items() if other_id != agent_id]
                     kind, dist = classify_track(tracker.mean_position(agent_id), own,
                                                 others, cfg.threshold)
                     outcomes.append(TrackOutcome(agent_id, t0, step, kind, dist))
@@ -524,7 +507,7 @@ class SweepResult:
 def sweep(grid: Dict[str, Sequence], scenarios: Sequence[Scenario],
           objective: str = "mean_error", base: Optional[ProtocolConfig] = None,
           model: str = "rvo+", filter_kind: str = "hpf", seed: int = 0,
-          traces: Optional[Sequence[ObservationTrace]] = None) -> SweepResult:
+          traces: Optional[Sequence[Trace]] = None) -> SweepResult:
     """Exhaustive search over protocol keys (`PROTOCOL_KEYS`).
 
     ``mean_error`` minimizes the prediction protocol's overall average;

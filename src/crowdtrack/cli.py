@@ -303,19 +303,14 @@ def cmd_track(cfg: RunConfig, protocol: ProtocolConfig) -> int:
 def cmd_sweep(cfg: RunConfig, protocol: ProtocolConfig) -> int:
     if not cfg.sweep_grid:
         raise ConfigError("sweep.grid", "sweep requires at least one sweep.grid.<key> entry")
-    scenarios = []
-    traces = []
+    scenarios, traces = [], []
     for seed in cfg.sweep_seeds:
-        scenario = _load_scenario(replace(cfg, seed=seed) if cfg.kind else cfg, protocol)
-        scenarios.append(scenario)
-        trace = _trace_for(replace(cfg, seed=seed), scenario)
-        traces.append(trace)
-    if all(t is None for t in traces):
+        scenarios.append(_load_scenario(replace(cfg, seed=seed) if cfg.kind else cfg, protocol))
+        traces.append(_trace_for(replace(cfg, seed=seed), scenarios[-1]))
+    if traces[0] is None:  # _trace_for's choice ignores the seed: all traces are None
+        if cfg.sweep_objective == "st":
+            raise ConfigError("sweep.objective", "objective 'st' requires obs.noise or occlusions")
         traces = None
-    elif any(t is None for t in traces):
-        raise ConfigError("obs.noise", "sweep needs traces for all scenarios or none")
-    if cfg.sweep_objective == "st" and traces is None:
-        raise ConfigError("sweep.objective", "objective 'st' requires obs.noise or occlusions")
     _prepare_out(cfg)
     result = sweep(cfg.sweep_grid, scenarios, cfg.sweep_objective, protocol,
                    model=cfg.model, filter_kind=cfg.filter_kind, seed=cfg.seed,

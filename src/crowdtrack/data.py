@@ -25,6 +25,10 @@ from .rvo import RvoParams, as_vec, crowd_step
 #: Preferred walking speed of generated agents (m/s), recorded in each scenario's meta.
 PREF_SPEED = 1.3
 
+#: Observations aligned to a scenario's frames: item k maps each agent id of the
+#: k-th frame to its observed position, or to None while occluded.
+Trace = List[Dict[int, Optional[np.ndarray]]]
+
 #: Most frames in a row in which no agent is observed that a trajectory file may
 #: imply; a longer gap is read as a typo, and the grid stays within 101 frames a row.
 MAX_EMPTY_FRAMES = 100
@@ -96,32 +100,12 @@ class Scenario:
             ids.update(f.ids)
         return sorted(ids)
 
-    def positions_by_agent(self) -> Dict[int, Dict[int, np.ndarray]]:
-        """agent id -> {frame position in self.frames, in dt from the first frame -> position}."""
-        tracks: Dict[int, Dict[int, np.ndarray]] = {}
-        for k, frame in enumerate(self.frames):
-            for agent_id, pos in frame.entries:
-                tracks.setdefault(agent_id, {})[k] = pos
-        return tracks
-
     def goal_of(self, agent_id: int) -> Optional[np.ndarray]:
         raw = self.meta.get(f"goal.{agent_id}")
         if raw is None:
             return None
         x, y = (float(part) for part in raw.split(","))
         return np.array([x, y])
-
-
-@dataclass
-class ObservationTrace:
-    """Observations aligned to a scenario's frames.
-
-    ``frames[k]`` maps each agent id of the scenario's k-th frame to its
-    observed position, or to None while it is occluded: the map
-    `JointTracker.step` takes.
-    """
-
-    frames: List[Dict[int, Optional[np.ndarray]]]
 
 
 def _parse_meta(line: str):
@@ -459,8 +443,8 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
 
 @np.errstate(over="ignore")
 def corrupt(scenario: Scenario, noise_sigma: float,
-            occlusions: Sequence[Tuple[int, int, int]] = (), seed: int = 0) -> ObservationTrace:
-    """Noisy/occluded observation trace for a scenario (see `ObservationTrace`).
+            occlusions: Sequence[Tuple[int, int, int]] = (), seed: int = 0) -> Trace:
+    """Noisy/occluded observation trace for a scenario (see `Trace`).
 
     ``occlusions`` entries are (agent_id, start, length) in frame positions;
     an occluded agent is observed as None.  Deterministic per seed.  Raises
@@ -487,4 +471,4 @@ def corrupt(scenario: Scenario, noise_sigma: float,
     _check_finite_motion(scenario.dt, [
         (frame.time_index, {agent_id: pos for agent_id, pos in observed.items() if pos is not None})
         for frame, observed in zip(scenario.frames, frames)])
-    return ObservationTrace(frames)
+    return frames

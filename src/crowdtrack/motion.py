@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from . import kernels
-from .rvo import RvoParams, as_vec
+from .rvo import RvoParams, as_vec, check_body
 
 #: Hard cap on pedestrian speed and desired speed (m/s).
 SPEED_CAP = 3.0
@@ -55,15 +55,13 @@ class AgentState:
 
 @dataclass(frozen=True)
 class BodySpec:
-    """Disc radius and speed limit used for an agent inside the filters."""
+    """Disc radius and speed limit used for an agent inside the filters (see `check_body`)."""
 
     radius: float = 0.2
     max_speed: float = 2.5
 
     def __post_init__(self):
-        for name in ("radius", "max_speed"):
-            if not (0.0 < getattr(self, name) < np.inf):
-                raise ValueError(f"{name} must be finite and > 0")
+        check_body(self.radius, self.max_speed)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,15 @@ inputs and calls it for state rows (:func:`crowd_step`), bodies and half-planes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from . import kernels
+
+#: Smallest speed limit a body may have (m/s).  Its square is a normal float,
+#: so the kernel's speed-disc test cannot underflow to 0 > 0 and admit any speed.
+MIN_MAX_SPEED = 1e-150
 
 
 def as_vec(value, name="vector"):
@@ -28,9 +33,18 @@ def as_vec(value, name="vector"):
     return arr
 
 
+def check_body(radius: Optional[float], max_speed: float):
+    """Raise ValueError, naming the field, unless ``radius`` is finite and > 0 (None
+    skips it) and ``max_speed`` is finite and >= `MIN_MAX_SPEED`."""
+    if radius is not None and not (0.0 < radius < np.inf):
+        raise ValueError("radius must be finite and > 0")
+    if not (MIN_MAX_SPEED <= max_speed < np.inf):
+        raise ValueError(f"max_speed must be finite and >= {MIN_MAX_SPEED!r}")
+
+
 @dataclass(frozen=True)
 class AgentBody:
-    """Disc agent: position/velocity in meters and m/s, finite radius and max_speed > 0."""
+    """Disc agent: position/velocity in meters and m/s, radius and max_speed as `check_body`."""
 
     position: np.ndarray
     velocity: np.ndarray
@@ -40,10 +54,7 @@ class AgentBody:
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec(self.position, "position"))
         object.__setattr__(self, "velocity", as_vec(self.velocity, "velocity"))
-        if not (0.0 < self.radius < np.inf):
-            raise ValueError("radius must be finite and > 0")
-        if not (0.0 < self.max_speed < np.inf):
-            raise ValueError("max_speed must be finite and > 0")
+        check_body(self.radius, self.max_speed)
 
 
 @dataclass(frozen=True)
@@ -96,8 +107,7 @@ def solve_velocity(halfplanes, max_speed: float, v_desire) -> VelocitySolution:
     empty feasible region the returned solution is flagged infeasible and
     carries the least-violation velocity, still within the speed disc.
     """
-    if not (0.0 < max_speed < np.inf):
-        raise ValueError("max_speed must be finite and > 0")
+    check_body(None, max_speed)
     v_desire = as_vec(v_desire, "v_desire")
     feasible, vx, vy = kernels.solve_velocity_kernel(
         [hp.point.tolist() for hp in halfplanes], [hp.normal.tolist() for hp in halfplanes],
@@ -111,7 +121,8 @@ def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
     Row i avoids every other row, in row order, with those rows' radii;
     its new velocity is chosen with ``radii[i]`` and ``max_speeds[i]``, and
     its position moves by that velocity for ``params.dt``.  The desired
-    velocities are kept.  Returns new rows; ``states`` is not modified.
+    velocities are kept.  Each row's body is checked by `check_body`.
+    Returns new rows; ``states`` is not modified.
     """
     states = np.asarray(states, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
@@ -119,6 +130,8 @@ def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
     n = states.shape[0]
     if states.shape != (n, 6) or radii.shape != (n,) or max_speeds.shape != (n,):
         raise ValueError("states must have shape (n, 6), radii and max_speeds shape (n,)")
+    for radius, max_speed in zip(radii.tolist(), max_speeds.tolist()):
+        check_body(radius, max_speed)
     new_vel = np.empty((n, 2))
     for i in range(n):
         others = np.arange(n) != i

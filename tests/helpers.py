@@ -72,20 +72,28 @@ def grid_project_boundary(rel_pos, r_sum, tau, rel_vel, step=1e-3):
     return samples[i], float(d[i])
 
 
+def row_dots(a, b):
+    """Dot products of the rows of ``a`` (n, 2) with ``b`` ((2,) or (n, 2)), each
+    rounded as the 1-D ``a[i] @ b[i]`` is; one (n, 2) @ (2,) product may round
+    differently."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
 def feasible_mask(candidates, points, normals, max_speed, tol=1e-12):
     ok = np.linalg.norm(candidates, axis=1) <= max_speed + tol
     for p, nvec in zip(points, normals):
-        ok &= (candidates - p[None, :]) @ nvec >= -tol
+        ok &= row_dots(candidates - p[None, :], nvec) >= -tol
     return ok
 
 
 def _zoom_min(fn, lo, hi, rounds=12, pts=64):
-    """Nested-grid minimization; robust to +inf (infeasible) plateaus."""
+    """Nested-grid minimization of ``fn`` (values at an array of parameters);
+    robust to +inf (infeasible) plateaus."""
     best_t = None
     best_f = np.inf
     for _ in range(rounds):
         ts = np.linspace(lo, hi, pts)
-        fs = np.array([fn(t) for t in ts])
+        fs = fn(ts)
         i = int(np.argmin(fs))
         if fs[i] < best_f:
             best_f = fs[i]
@@ -143,11 +151,11 @@ def project_oracle(points, normals, max_speed, v_desire, n_samples=4096):
         lo = ts[max(i - 1, 0)]
         hi = ts[min(i + 1, len(ts) - 1)]
 
-        def fn(t, param_fn=param_fn):
-            v = np.asarray(param_fn(t), dtype=float)
-            if not feasible(v):
-                return np.inf
-            return dist(v)
+        def fn(ts, param_fn=param_fn):
+            vs = np.atleast_2d(param_fn(ts))
+            ok = feasible_mask(vs, points, normals, max_speed)
+            diff = vs - v_desire[None, :]
+            return np.where(ok, np.sqrt(row_dots(diff, diff)), np.inf)
 
         t_star = _zoom_min(fn, lo, hi)
         for t in (t_star, ts[i]):
@@ -159,11 +167,13 @@ def project_oracle(points, normals, max_speed, v_desire, n_samples=4096):
     return best
 
 
-def max_violation(v, points, normals, max_speed):
-    """Largest constraint violation depth at v (speed handled by clamping in tests)."""
-    worst = 0.0
+def max_violation(vs, points, normals, max_speed):
+    """Largest constraint violation depth at each velocity row of ``vs`` ((n, 2), or
+    one velocity (2,)); speed is handled by clamping in tests."""
+    vs = np.atleast_2d(np.asarray(vs, dtype=float))
+    worst = np.zeros(len(vs))
     for p, nvec in zip(points, normals):
-        worst = max(worst, -float((np.asarray(v) - p) @ nvec))
+        worst = np.maximum(worst, -row_dots(vs - p, nvec))
     return worst
 
 

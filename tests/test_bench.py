@@ -7,8 +7,8 @@ from crowdtrack import (BodySpec, HpfConfig, NoiseSpec, RvoParams, Scenario,
                         classify_track, corrupt, crowd_step, make_scenario,
                         parse_trajectories, run_prediction_protocol,
                         run_tracking_protocol, sweep)
-from crowdtrack.bench import JointTracker, NoEligibleTrials, ProtocolConfig
-from crowdtrack.data import Frame, ObservationTrace
+from crowdtrack.bench import JointTracker, NoEligibleTrials, ProtocolConfig, configure
+from crowdtrack.data import Frame
 
 
 def linear_scenario(n_frames=50, speed=1.3, lanes=(0.0,), dt=0.4):
@@ -127,15 +127,14 @@ class TestTrackingProtocol:
         # the other's.
         scenario = linear_scenario(n_frames=30, lanes=(0.0, 0.4), speed=0.5)
         swap_from = 8
-        frames = []
+        trace = []
         for k, frame in enumerate(scenario.frames):
             positions = dict(frame.entries)
             obs = {}
             for agent_id in positions:
                 source = agent_id if k < swap_from else 1 - agent_id
                 obs[agent_id] = positions[source].copy()
-            frames.append(obs)
-        trace = ObservationTrace(frames)
+            trace.append(obs)
         cfg = ProtocolConfig(hpf=HpfConfig(order_k=1, pi=(1.0,), particles_m=200),
                              noise=NoiseSpec(0.05, 0.1, 0.05), sigma_obs=0.15,
                              tracking_horizons=(16, 24))
@@ -282,6 +281,22 @@ class TestSweep:
                        "mean_error", cfg, model="lin", filter_kind="pf", seed=0)
         assert result.best == {"noise.sigma_velocity": 0.0}
         assert result.best_score < 1e-9
+
+    def test_planted_st_grid_picks_the_combination_that_can_track(self):
+        # No track ends within 1e-9 m of its truth, so that threshold scores no
+        # success; the sweep must pick the other one, listed second.
+        scenario = make_scenario("corridor", 2, seed=2, steps=30)
+        trace = corrupt(scenario, 0.05, (), seed=0)
+        cfg = ProtocolConfig(hpf=HpfConfig(order_k=1, pi=(1.0,), particles_m=40))
+        result = sweep({"bench.threshold": [1e-9, 0.5]}, [scenario], "st", cfg,
+                       model="rvo+", filter_kind="pf", seed=1, traces=[trace])
+        report = run_tracking_protocol(scenario, trace, "rvo+", "pf",
+                                       configure(cfg, {"bench.threshold": 0.5}), seed=1)
+        st, _, _ = report.counts()
+        assert st > 0
+        assert result.rows == [({"bench.threshold": 1e-9}, 0.0),
+                               ({"bench.threshold": 0.5}, -float(st))]
+        assert result.best == {"bench.threshold": 0.5}
 
     def test_more_observation_noise_never_helps_tracking(self):
         # Averaged over 100 seeds, raising the observation noise must not

@@ -218,6 +218,7 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (TRACK + ["--set", "rvo.tau=inf"], 2, "rvo.tau"),
     (TRACK + ["--set", "body.radius=inf"], 2, "body.radius"),
     (TRACK + ["--set", "body.max_speed=inf"], 2, "body.max_speed"),
+    (TRACK + ["--set", "body.max_speed=1e-170"], 2, "body.max_speed"),
     (TRACK + ["--obs-noise", "-0.3"], 2, "obs.noise"),
     (TRACK + ["--obs-noise", "nan"], 2, "obs.noise"),
     (TRACK + ["--obs-noise", "inf"], 2, "obs.noise"),
@@ -232,6 +233,8 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (TRACK + ["--set", "bench.tracking_horizons="], 2, "bench.tracking_horizons"),
     (SWEEP + ["--set", "sweep.seeds="], 2, "sweep.seeds"),
     (SWEEP + ["--set", "sweep.grid.rvo.dt=0.2;0.4"], 2, "rvo.dt"),
+    (SWEEP + ["--set", "sweep.objective=st"], 2, "sweep.objective"),
+    (["predict", "--seed", 3], 2, "input"),
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -1], 2, "steps"),
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -5], 2, "steps"),
     (["simulate", "--kind", "corridor", "--agents", 0], 2, "agents"),

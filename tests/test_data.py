@@ -64,7 +64,7 @@ class TestParseCsvFixy:
         s = parse_trajectories(path)
         assert [f.time_index for f in s.frames] == [0, 1, 2, 3, 4, 5]
         assert [f.entries for f in s.frames[2:5]] == [[], [], []]
-        assert sorted(s.positions_by_agent()[1]) == [0, 1, 5]
+        assert [k for k, f in enumerate(s.frames) if 1 in f.ids] == [0, 1, 5]
 
     def test_a_gap_holds_at_most_max_empty_frames(self, tmp_path):
         # The bound keeps the grid within a fixed number of frames per row read.
@@ -206,15 +206,15 @@ class TestCorrupt:
         trace = corrupt(s, 0.0, (), seed=1)
         for k, frame in enumerate(s.frames):
             for agent_id, pos in frame.entries:
-                assert np.array_equal(trace.frames[k][agent_id], pos)
+                assert np.array_equal(trace[k][agent_id], pos)
 
     def test_occlusion_bookkeeping(self):
         s = make_scenario("head_on", 2, seed=0, steps=20)
         trace = corrupt(s, 0.0, [(1, 10, 3)], seed=1)
-        absent = [k for k in range(s.n_frames) if trace.frames[k][1] is None]
+        absent = [k for k in range(s.n_frames) if trace[k][1] is None]
         assert absent == [10, 11, 12]
         for k in absent:
-            assert trace.frames[k][0] is not None
+            assert trace[k][0] is not None
 
     def test_noise_moments(self):
         s = make_scenario("corridor", 5, seed=3, steps=2000)
@@ -222,7 +222,7 @@ class TestCorrupt:
         deltas = []
         for k, frame in enumerate(s.frames):
             for agent_id, pos in frame.entries:
-                deltas.append(trace.frames[k][agent_id] - pos)
+                deltas.append(trace[k][agent_id] - pos)
         deltas = np.array(deltas)
         assert deltas.shape[0] >= 10000
         assert abs(deltas.std() - 0.1) < 0.002
@@ -238,7 +238,7 @@ class TestCorrupt:
         t2 = corrupt(s, 0.2, [(0, 2, 2)], seed=9)
         for k in range(s.n_frames):
             for agent_id in (0, 1):
-                a, b = t1.frames[k][agent_id], t2.frames[k][agent_id]
+                a, b = t1[k][agent_id], t2[k][agent_id]
                 if a is None:
                     assert b is None
                 else:

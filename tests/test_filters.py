@@ -231,10 +231,9 @@ def filled_tracker(k, model, m=24, frames=4):
     pi = (1.0,) if k == 1 else (0.8, 0.2) if k == 2 else (0.7, 0.2, 0.1)
     tracker = JointTracker(fixes, model, "hpf", ProtocolConfig(hpf=HpfConfig(k, pi, m)), DT,
                            np.random.default_rng(5), init_spread=(0.05, 0.1))
-    obs_model = GaussianPositionLikelihood(0.1)
     for t in range(frames):
         tracker.step({i: np.asarray(p) + 0.4 * (t + 1) * np.asarray(v)
-                      for i, (p, v) in fixes.items()}, obs_model)
+                      for i, (p, v) in fixes.items()})
     return tracker
 
 
@@ -288,7 +287,7 @@ def test_full_history_step_makes_one_kernel_call_per_agent(monkeypatch, k, rows_
         return original(states, *args)
 
     monkeypatch.setattr(kernels, "rvo_velocity_batch", counted)
-    tracker.step({}, GaussianPositionLikelihood(0.1))
+    tracker.step({})
     assert calls == [rows_per_call * 24] * len(tracker.ids)
 
 

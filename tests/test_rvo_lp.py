@@ -94,8 +94,8 @@ class TestInfeasibleFallback:
             radii = max_speed * np.sqrt(rng.random(40000))
             angles = rng.uniform(0, 2 * np.pi, 40000)
             cands = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-            sampled_best = min(max_violation(c, points, normals, max_speed) for c in cands)
-            got = max_violation(sol.velocity, points, normals, max_speed)
+            sampled_best = max_violation(cands, points, normals, max_speed).min()
+            got = max_violation(sol.velocity, points, normals, max_speed)[0]
             assert got <= sampled_best + 2e-3
             assert np.linalg.norm(sol.velocity) <= max_speed + 1e-9
             checked += 1

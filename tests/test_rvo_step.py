@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from crowdtrack import AgentBody, RvoParams, crowd_step, kernels, rvo_step, step_all
+from crowdtrack import (AgentBody, BodySpec, RvoParams, crowd_step, kernels, rvo_step,
+                        solve_velocity, step_all)
+from crowdtrack.rvo import MIN_MAX_SPEED
 
 
 PARAMS = RvoParams(time_horizon_tau=2.0, dt=0.1, neighbor_radius=10.0)
@@ -171,6 +173,36 @@ class TestRvoStep:
             AgentBody([0.0, 0.0], [0.0, 0.0], radius=np.inf)
         with pytest.raises(ValueError):
             AgentBody([0.0, 0.0], [0.0, 0.0], max_speed=np.inf)
+
+    @pytest.mark.parametrize("bad", [-0.2, 0.0, np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["radius", "max_speed"])
+    def test_crowd_step_checks_every_rows_body(self, field, bad):
+        rows = np.array([[-1.0, 0.0, 1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0, -1.0, 0.0]])
+        body = {"radius": [0.2, 0.2], "max_speed": [1.5, 1.5]}
+        body[field][1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            crowd_step(rows, body["radius"], body["max_speed"], PARAMS)
+
+    def test_negative_bodies_are_rejected(self):
+        # Negative radii and speed limits used to return velocities (0.5 m/s here).
+        rows = np.array([[-1.0, 0.0, 0.5, 0.0, 0.5, 0.0], [1.0, 0.0, -0.5, 0.0, -0.5, 0.0]])
+        with pytest.raises(ValueError, match="^radius must"):
+            crowd_step(rows, [-0.2, -0.2], [-1.5, -1.5], PARAMS)
+        with pytest.raises(ValueError, match="^max_speed must"):
+            crowd_step(rows, [0.2, 0.2], [-1.5, -1.5], PARAMS)
+
+    def test_speed_limit_floor_keeps_the_speed_disc_test_exact(self):
+        # Below about 1e-162 m/s the kernel's squared speed underflows and a
+        # desired velocity beyond the limit came back unclamped (speed 2e-170).
+        with pytest.raises(ValueError, match="^max_speed must"):
+            AgentBody([0.0, 0.0], [0.0, 0.0], radius=2.5e-171, max_speed=1.5e-170)
+        for checked in (lambda: BodySpec(max_speed=1.5e-170),
+                        lambda: solve_velocity([], 1.5e-170, [2e-170, 0.0])):
+            with pytest.raises(ValueError, match="^max_speed must"):
+                checked()
+        body = AgentBody([0.0, 0.0], [0.0, 0.0], radius=2.5e-151, max_speed=MIN_MAX_SPEED)
+        velocity = rvo_step(0, [body], [2e-150, 0.0], PARAMS)
+        assert np.linalg.norm(velocity) <= MIN_MAX_SPEED * (1.0 + 1e-12)
 
     def test_out_of_range_index(self):
         a = AgentBody([0.0, 0.0], [0.0, 0.0])
