@@ -26,6 +26,8 @@ class TestUnconstrained:
             solve_velocity([], 0.0, [1.0, 0.0])
         with pytest.raises(ValueError):
             solve_velocity([], np.inf, [1.0, 0.0])
+        with pytest.raises(ValueError):
+            solve_velocity([], 1.5e-170, [2e-170, 0.0])  # below MIN_MAX_SPEED
 
 
 class TestOracleAgreement:

@@ -3,8 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from crowdtrack import (AgentBody, BodySpec, RvoParams, crowd_step, kernels, rvo_step,
-                        solve_velocity, step_all)
+from crowdtrack import AgentBody, RvoParams, crowd_step, kernels, rvo_step, step_all
 from crowdtrack.rvo import MIN_MAX_SPEED
 
 
@@ -173,6 +172,10 @@ class TestRvoStep:
             AgentBody([0.0, 0.0], [0.0, 0.0], radius=np.inf)
         with pytest.raises(ValueError):
             AgentBody([0.0, 0.0], [0.0, 0.0], max_speed=np.inf)
+        # Below about 1e-162 m/s the kernel's squared speed underflows, and this
+        # body's desired velocity [2e-170, 0] came back unclamped.
+        with pytest.raises(ValueError, match="^max_speed must"):
+            AgentBody([0.0, 0.0], [0.0, 0.0], radius=2.5e-171, max_speed=1.5e-170)
 
     @pytest.mark.parametrize("bad", [-0.2, 0.0, np.inf, np.nan])
     @pytest.mark.parametrize("field", ["radius", "max_speed"])
@@ -188,21 +191,12 @@ class TestRvoStep:
         rows = np.array([[-1.0, 0.0, 0.5, 0.0, 0.5, 0.0], [1.0, 0.0, -0.5, 0.0, -0.5, 0.0]])
         with pytest.raises(ValueError, match="^radius must"):
             crowd_step(rows, [-0.2, -0.2], [-1.5, -1.5], PARAMS)
-        with pytest.raises(ValueError, match="^max_speed must"):
-            crowd_step(rows, [0.2, 0.2], [-1.5, -1.5], PARAMS)
 
-    def test_speed_limit_floor_keeps_the_speed_disc_test_exact(self):
-        # Below about 1e-162 m/s the kernel's squared speed underflows and a
-        # desired velocity beyond the limit came back unclamped (speed 2e-170).
-        with pytest.raises(ValueError, match="^max_speed must"):
-            AgentBody([0.0, 0.0], [0.0, 0.0], radius=2.5e-171, max_speed=1.5e-170)
-        for checked in (lambda: BodySpec(max_speed=1.5e-170),
-                        lambda: solve_velocity([], 1.5e-170, [2e-170, 0.0])):
-            with pytest.raises(ValueError, match="^max_speed must"):
-                checked()
-        body = AgentBody([0.0, 0.0], [0.0, 0.0], radius=2.5e-151, max_speed=MIN_MAX_SPEED)
-        velocity = rvo_step(0, [body], [2e-150, 0.0], PARAMS)
-        assert np.linalg.norm(velocity) <= MIN_MAX_SPEED * (1.0 + 1e-12)
+    def test_speed_limit_at_the_floor_is_enforced(self):
+        # A floor low enough for the squared speed to underflow fails here.
+        body = AgentBody([0.0, 0.0], [0.0, 0.0], radius=MIN_MAX_SPEED, max_speed=MIN_MAX_SPEED)
+        velocity = rvo_step(0, [body], [2 * MIN_MAX_SPEED, 0.0], PARAMS)
+        assert np.hypot(*velocity) <= MIN_MAX_SPEED * (1.0 + 1e-12)  # norm would underflow
 
     def test_out_of_range_index(self):
         a = AgentBody([0.0, 0.0], [0.0, 0.0])
