@@ -4,11 +4,13 @@ These deliberately avoid the library's incremental algorithms: containment
 is checked by dense time sampling, boundary projection by dense grids over
 the cone pieces, and the constrained velocity choice by dense polar sampling
 of the feasible set plus golden-section refinement.  The filters' j-step
-prediction is checked against the plain per-block, per-hop loop.
+prediction is checked against the plain per-block, per-hop loop, and the
+mixture weights against the per-block code they were first written as.
 """
 
 import numpy as np
 
+from crowdtrack.filters import LOG_UNDERFLOW, predict_blocks
 from crowdtrack.motion import predict_mean_batch, sample_transition_batch
 
 
@@ -239,3 +241,45 @@ def hpf_predict_j(history, j, model, noise, dt, rng):
     for back in range(j, 0, -1):
         states = transition(model, states, history.context(back), noise, dt, rng)
     return states
+
+
+def _logsumexp(a):
+    m = float(np.max(a))
+    if not np.isfinite(m):
+        return m
+    return m + float(np.log(np.sum(np.exp(a - m))))
+
+
+def _normalize_log(a):
+    m = np.max(a)
+    if not np.isfinite(m):
+        return np.full(a.shape, 1.0 / a.size)
+    w = np.exp(a - m)
+    return w / w.sum()
+
+
+def mixture_update_per_block(history, obs, obs_model, cfg, model, noise, dt, rng):
+    """`filters.mixture_update` block by block, one 1-D array per block, as it
+    was first written: the oracle for the row-reduction version."""
+    k_eff = min(len(history), cfg.order_k)
+    pi = np.asarray(cfg.pi[:k_eff], dtype=np.float64)
+    pi = pi / pi.sum()
+    block_states = list(predict_blocks(history, k_eff, model, noise, dt, rng))
+    logliks = [np.asarray(obs_model.log_likelihood(obs, states), dtype=np.float64)
+               for states in block_states]
+    with np.errstate(divide="ignore"):
+        block_logprior = [np.where(w > 0.0, np.log(np.maximum(w, 1e-300)), -np.inf)
+                          for w in (history.posterior(j).weights for j in range(1, k_eff + 1))]
+    block_logw = [log_prior + loglik for log_prior, loglik in zip(block_logprior, logliks)]
+    flagged = max([-np.inf] + [float(np.max(loglik)) for loglik in logliks]) < LOG_UNDERFLOW
+    if flagged:
+        block_logw = block_logprior
+        log_scores = np.log(pi)
+    else:
+        log_scores = np.array([np.log(pi[j]) + _logsumexp(block_logw[j]) for j in range(k_eff)])
+    lambdas = _normalize_log(log_scores)
+    pooled_states = np.vstack(block_states)
+    pooled_weights = np.concatenate([lam * _normalize_log(logw)
+                                     for lam, logw in zip(lambdas, block_logw)])
+    pooled_weights /= pooled_weights.sum()
+    return pooled_states, pooled_weights, lambdas, log_scores, flagged

@@ -186,33 +186,57 @@ def ragged_scenario():
     return Scenario(dt=0.4, frames=frames, name="ragged")
 
 
+def digest_report(digest, report):
+    """Feed a tracking report's outcomes or a prediction report's rows to ``digest``."""
+    for o in getattr(report, "outcomes", []):
+        digest.update(f"{o.agent_id},{o.start},{o.horizon},{o.kind},{o.distance!r}\n".encode())
+    for r in getattr(report, "rows", []):
+        digest.update(f"{r.horizon},{r.mean_error_m!r},{r.n_trials}\n".encode())
+
+
 def reports_digest():
-    """SHA-256 of PF and HPF tracking outcomes and prediction rows (without a
+    """SHA-256 of RVO+ PF and HPF tracking outcomes and prediction rows (without a
     trace and with the noisy one) on corridor-3 and the ragged scenario."""
     cfg = ProtocolConfig(hpf=HpfConfig(2, (0.91, 0.09), 60), sigma_obs=0.15)
     digest = hashlib.sha256()
     for scenario in (make_scenario("corridor", 3, seed=0), ragged_scenario()):
         trace = corrupt(scenario, 0.3, [(0, 6, 2)], seed=1)
         for kind in ("pf", "hpf"):
-            report = run_tracking_protocol(scenario, trace, "rvo+", kind, cfg, seed=2)
-            for o in report.outcomes:
-                digest.update(f"{o.agent_id},{o.start},{o.horizon},{o.kind},"
-                              f"{o.distance!r}\n".encode())
+            digest_report(digest, run_tracking_protocol(scenario, trace, "rvo+", kind, cfg, seed=2))
             for observed in (None, trace):
-                report = run_prediction_protocol(scenario, "rvo+", kind, cfg, seed=3,
-                                                 trace=observed)
-                for r in report.rows:
-                    digest.update(f"{r.horizon},{r.mean_error_m!r},{r.n_trials}\n".encode())
+                digest_report(digest, run_prediction_protocol(scenario, "rvo+", kind, cfg,
+                                                              seed=3, trace=observed))
+    return digest.hexdigest()
+
+
+def other_reports_digest():
+    """SHA-256 of LIN-PF and RVO-PF (no desired-velocity diffusion) prediction rows
+    on a noisy crossing, and of K=3 HPF tracking outcomes on corridor-3."""
+    digest = hashlib.sha256()
+    crossing = make_scenario("crossing", 2, seed=4, body=BodySpec(radius=0.3))
+    trace = corrupt(crossing, 0.1, (), seed=4)
+    cfg = ProtocolConfig(hpf=HpfConfig(1, (1.0,), 80), body=BodySpec(radius=0.3))
+    for model in ("lin", "rvo"):
+        digest_report(digest, run_prediction_protocol(crossing, model, "pf", cfg, seed=5,
+                                                      trace=trace))
+    corridor = make_scenario("corridor", 3, seed=0)
+    trace = corrupt(corridor, 0.3, [(1, 10, 3)], seed=6)
+    cfg = ProtocolConfig(hpf=HpfConfig(3, (0.8, 0.15, 0.05), 60), sigma_obs=0.15)
+    digest_report(digest, run_tracking_protocol(corridor, trace, "rvo+", "hpf", cfg, seed=7))
     return digest.hexdigest()
 
 
 class TestReports:
-    # SHA-256 of reports_digest().  A refactor of the protocols' numeric path
-    # must reproduce every report bit for bit, not just closely.
+    # SHA-256 of reports_digest() and other_reports_digest().  A refactor of the
+    # protocols' numeric path must reproduce every report bit for bit, not just closely.
     REPORT_PIN = "c7537412396d5fb0d290fafa3e2083e041ca5ad51b999df18dd670a92a1768f0"
+    OTHER_REPORT_PIN = "446b69b49a9482e227f1d85ab5ceb1596276f37fa80ad940b80dc92aaf19deab"
 
     def test_reports_are_bitwise_pinned(self):
         assert reports_digest() == self.REPORT_PIN
+
+    def test_lin_plain_rvo_and_third_order_reports_are_bitwise_pinned(self):
+        assert other_reports_digest() == self.OTHER_REPORT_PIN
 
 
 def test_protocols_step_at_the_scenarios_dt():

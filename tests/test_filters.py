@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from crowdtrack.bench import JointTracker, ProtocolConfig
 from crowdtrack.filters import (FilterHistory, InsufficientHistory,
                                 mixture_update, predict_blocks)
 
-from helpers import hpf_predict_j, kalman_filter_lin, transition
+from helpers import hpf_predict_j, kalman_filter_lin, mixture_update_per_block, transition
 
 DT = 0.4
 
@@ -478,6 +480,26 @@ class TestHpfStep:
         assert np.allclose(lambdas, [0.91, 0.09])
         assert out.size == 30
 
+    # SHA-256 of the posterior states and lambdas of a step in which every block's
+    # likelihood underflows, from unequal prior weights with zeros among them.
+    FLAGGED_PIN = "1766c614d6322d98f66f4d0a6e5e55cb059f2d2a7854013254792ee7f6f93425"
+
+    def test_flagged_step_is_bitwise_pinned(self):
+        rng = np.random.default_rng(27)
+        history = FilterHistory(2)
+        for t in range(2):
+            pset = cloud(rng, 40, pos=(0.4 * t, 0.0))
+            weights = rng.random(40) * (rng.random(40) < 0.7)
+            history.push(ParticleSet(pset.states, weights / weights.sum()), empty_ctx())
+        cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=40)
+        out, lambdas = hpf_step(history, history.context(1), np.array([1e5, 1e5]),
+                                GaussianPositionLikelihood(0.05), cfg, "lin",
+                                NoiseSpec(), DT, rng)
+        assert out.flagged
+        digest = hashlib.sha256(out.states.tobytes() + out.weights.tobytes()
+                                + lambdas.tobytes()).hexdigest()
+        assert digest == self.FLAGGED_PIN
+
     def test_pushed_flags_do_not_change_the_step(self):
         steps = []
         for flags in ((False, False), (True, True), (False, True)):
@@ -501,6 +523,83 @@ class TestHpfStep:
             with pytest.raises(ValueError, match="ctx"):
                 hpf_step(history, ctx, np.array([0.4, 0.0]), GaussianPositionLikelihood(0.1),
                          cfg, "lin", NoiseSpec(), DT, np.random.default_rng(0))
+
+
+class ScriptedLikelihood:
+    """Returns prescribed log-likelihood blocks in call order, whatever the states."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.calls = 0
+
+    def log_likelihood(self, obs, states):
+        out = self.blocks[self.calls]
+        self.calls += 1
+        return out
+
+
+LOGLIK_KINDS = ("plain", "underflow", "neg_inf", "pos_inf", "nan", "all_neg_inf")
+
+
+def mixture_case(seed, k, m, kinds):
+    """A K-entry history (weights with zeros; one all-zero block now and then) and
+    one scripted log-likelihood block per kind."""
+    rng = np.random.default_rng(seed)
+    history = FilterHistory(k)
+    for t in range(k):
+        pset = cloud(rng, m, pos=(0.4 * t, 0.0))
+        weights = rng.random(m) * (rng.random(m) < 0.75)
+        if rng.random() < 0.15:
+            weights[:] = 0.0
+        elif weights.sum() > 0.0:
+            weights /= weights.sum()
+        history.push(ParticleSet(pset.states, weights), empty_ctx())
+    blocks = []
+    for kind in kinds:
+        loglik = rng.normal(-3.0, 20.0, m)
+        if kind == "underflow":
+            loglik -= 1000.0
+        elif kind == "all_neg_inf":
+            loglik[:] = -np.inf
+        elif kind != "plain":
+            hit = rng.random(m) < 0.3
+            hit[rng.integers(m)] = True
+            loglik[hit] = {"neg_inf": -np.inf, "pos_inf": np.inf, "nan": np.nan}[kind]
+        blocks.append(loglik)
+    return history, ScriptedLikelihood(blocks)
+
+
+def same_bits(a, b):
+    """Bitwise equal arrays, any NaN counted equal to any NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 128, 129, 400])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_mixture_update_equals_the_per_block_oracle(k, m):
+    # M spans numpy's pairwise-summation edges (blocks of 8, then 128); the blocks
+    # hold zero prior weights and -inf, +inf and NaN log-likelihoods.
+    pi = {1: (1.0,), 2: (0.91, 0.09), 3: (0.7, 0.2, 0.1)}[k]
+    cfg = HpfConfig(order_k=k, pi=pi, particles_m=m)
+    picker = np.random.default_rng(100 * k + m)
+    for trial in range(8):
+        kinds = (["underflow"] * k if trial == 0 else ["plain"] * k if trial == 1
+                 else [LOGLIK_KINDS[i] for i in picker.integers(len(LOGLIK_KINDS), size=k)])
+        seed = 1000 * k + 10 * m + trial
+        got, want = [update(history, None, likelihood, cfg, "lin", NoiseSpec(), DT,
+                            np.random.default_rng(seed))
+                     for update, (history, likelihood) in (
+                         (mixture_update, mixture_case(seed, k, m, kinds)),
+                         (mixture_update_per_block, mixture_case(seed, k, m, kinds)))]
+        assert got[4] == want[4], kinds
+        if trial == 0:
+            assert got[4]
+        for a, b in zip(got[:4], want[:4]):
+            assert same_bits(a, b), kinds
 
 
 class TestConfigValidation:

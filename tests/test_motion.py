@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from crowdtrack import (AgentBody, BodySpec, CrowdContext, NoiseSpec,
                         RvoParams, resolve_model, rvo_step)
 from crowdtrack.kernels import build_halfplanes
-from crowdtrack.motion import MODELS, predict_mean_batch
+from crowdtrack.motion import MODELS, predict_mean_batch, sample_transition_batch
 
 from helpers import analytic_min_separation, transition
 
@@ -114,6 +116,51 @@ class TestSampleTransition:
         desired = np.linalg.norm(out[:, 4:6], axis=1)
         assert np.all(speeds <= 3.0 + 1e-12)
         assert np.all(desired <= 3.0 + 1e-12)
+
+
+def cap_edge_rows():
+    """Velocity rows around `SPEED_CAP`: squared norms (x * x + y * y, rounded) one
+    ulp below 9, exactly 9 and one ulp above it, twice, then rows well off the cap."""
+    rows = []
+    for target in (np.nextafter(9.0, 0.0), 9.0, np.nextafter(9.0, 10.0)):
+        rows.append(next([x, y] for x in (2.0, 2.5, 1.0, 0.5)
+                         for y in near(np.sqrt(target - x * x), 8)
+                         if x * x + y * y == target))
+    rows += [[-y, -x] for x, y in rows]
+    rows += [[0.0, -3.5], [10.0, 5.0], [-4.0, 7.0], [2.9, 0.8]]
+    return np.array(rows)
+
+
+def near(value, steps):
+    """``value`` and the ``steps`` floats on either side of it."""
+    out = [value]
+    for _ in range(steps):
+        out = [np.nextafter(out[0], -np.inf)] + out + [np.nextafter(out[-1], np.inf)]
+    return out
+
+
+class TestTransitionSpeedCap:
+    # SHA-256 of sample_transition_batch's output on the rows below, with and
+    # without noise: the clamp must keep every bit of every case.
+    PIN = "ea5957e31a55a66485475a7166591ac54b42e07fb52a0cc664ec5b20c1ff64ee"
+
+    def test_clamp_is_bitwise_pinned(self):
+        edge = cap_edge_rows()
+        assert [x * x + y * y - 9.0 for x, y in edge[:3]] == [-2.0 ** -49, 0.0, 2.0 ** -49]
+        n = edge.shape[0]
+        means = np.zeros((n * n, 6))
+        means[:, 2:4] = np.repeat(edge, n, axis=0)  # every speed with every desired speed
+        means[:, 4:6] = np.tile(edge, (n, 1))
+        exact = sample_transition_batch(means, np.zeros_like(means), NoiseSpec(0.0, 0.0, 0.0))
+        rng = np.random.default_rng(3)
+        noisy_means = rng.normal(0.0, 2.0, (500, 6))
+        noisy = sample_transition_batch(noisy_means, rng.standard_normal((500, 6)),
+                                        NoiseSpec(0.05, 1.0, 1.0))
+        below = np.array([x * x + y * y <= 9.0 for x, y in means[:, 2:4]])
+        assert np.array_equal(exact[below, 2:4], means[below, 2:4])
+        assert np.all(np.hypot(exact[:, 2], exact[:, 3]) <= 3.0 + 1e-15)
+        digest = hashlib.sha256(exact.tobytes() + noisy.tobytes()).hexdigest()
+        assert digest == self.PIN
 
 
 class TestRvoDelegatedInvariant:
