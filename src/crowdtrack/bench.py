@@ -51,9 +51,9 @@ class GaussianPositionLikelihood:
         if obs is None:
             return np.zeros(states.shape[0])
         obs = np.asarray(obs, dtype=np.float64)
-        d = states[:, 0:2] - obs
+        dx, dy = states[:, 0] - obs[0], states[:, 1] - obs[1]
         s2 = self.sigma_obs * self.sigma_obs
-        return -0.5 * np.sum(d * d, axis=1) / s2 - np.log(2.0 * np.pi * s2)
+        return -0.5 * (dx * dx + dy * dy) / s2 - np.log(2.0 * np.pi * s2)
 
 
 @dataclass
@@ -200,7 +200,7 @@ class JointTracker:
         if not np.isfinite(self.means).all():
             raise NonFiniteMotion("a filter's mean state overflowed to a non-finite value")
         for i, pset in enumerate(sets):
-            others = np.delete(self.means, i, axis=0)
+            others = np.concatenate((self.means[:i], self.means[i + 1:]))
             self.histories[i].push(pset, CrowdContext(others, self.params, self.body))
 
     def step(self, observations: Dict[int, Optional[np.ndarray]]):

@@ -303,14 +303,16 @@ def cmd_track(cfg: RunConfig, protocol: ProtocolConfig) -> int:
 def cmd_sweep(cfg: RunConfig, protocol: ProtocolConfig) -> int:
     if not cfg.sweep_grid:
         raise ConfigError("sweep.grid", "sweep requires at least one sweep.grid.<key> entry")
-    scenarios, traces = [], []
-    for seed in cfg.sweep_seeds:
-        scenarios.append(_load_scenario(replace(cfg, seed=seed) if cfg.kind else cfg, protocol))
-        traces.append(_trace_for(replace(cfg, seed=seed), scenarios[-1]))
+    seeds = cfg.sweep_seeds
+    scenarios = ([_load_scenario(cfg, protocol)] * len(seeds) if cfg.input  # parsed once
+                 else [_load_scenario(replace(cfg, seed=seed), protocol) for seed in seeds])
+    traces = [_trace_for(replace(cfg, seed=s), scenario) for s, scenario in zip(seeds, scenarios)]
     if traces[0] is None:  # _trace_for's choice ignores the seed: all traces are None
         if cfg.sweep_objective == "st":
             raise ConfigError("sweep.objective", "objective 'st' requires obs.noise or occlusions")
         traces = None
+        if cfg.input:  # every seed would run the same protocol on the same frames
+            scenarios = scenarios[:1]
     _prepare_out(cfg)
     result = sweep(cfg.sweep_grid, scenarios, cfg.sweep_objective, protocol,
                    model=cfg.model, filter_kind=cfg.filter_kind, seed=cfg.seed,

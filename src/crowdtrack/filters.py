@@ -62,7 +62,7 @@ class ParticleSet:
             raise ValueError("weights must match the number of particles")
         if self.states.shape[0] < 1:
             raise ValueError("at least one particle required")
-        if np.any(self.weights < 0.0) or not np.all(np.isfinite(self.weights)):
+        if not (self.weights.min() >= 0.0 and self.weights.max() < np.inf):  # NaN fails too
             raise ValueError("weights must be finite and nonnegative")
 
     @property
@@ -132,13 +132,6 @@ class FilterHistory:
         return self._entries[-j]
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(np.max(a))
-    if not np.isfinite(m):
-        return m
-    return m + float(np.log(np.sum(np.exp(a - m))))
-
-
 def _normalize_log(a: np.ndarray) -> np.ndarray:
     m = np.max(a)
     if not np.isfinite(m):
@@ -162,7 +155,7 @@ def resample(pooled: ParticleSet, m: int, rng: np.random.Generator) -> ParticleS
     cum[-1] = 1.0
     positions = (np.arange(m) + rng.random()) / m
     idx = np.searchsorted(cum, positions, side="right")
-    return ParticleSet(pooled.states[idx].copy(), np.full(m, 1.0 / m), pooled.flagged)
+    return ParticleSet(pooled.states.take(idx, axis=0), np.full(m, 1.0 / m), pooled.flagged)
 
 
 def posterior_mean(pset: ParticleSet) -> AgentState:
@@ -174,8 +167,8 @@ def posterior_mean(pset: ParticleSet) -> AgentState:
 
 
 def predict_blocks(history: FilterHistory, k: int, model: str, noise: NoiseSpec,
-                   dt: float, rng: np.random.Generator):
-    """The k predicted (M, 6) blocks: block j is posterior(j) through j transitions.
+                   dt: float, rng: np.random.Generator) -> np.ndarray:
+    """The k predicted blocks, (k, M, 6): block j is posterior(j) through j transitions.
 
     Normals are drawn first, in a per-block loop's order; then one
     `predict_mean_batch` call per level ``back`` = k..1 covers all hops from
@@ -183,23 +176,23 @@ def predict_blocks(history: FilterHistory, k: int, model: str, noise: NoiseSpec,
     or computed and kept there unless the next push drops that entry."""
     m = history.posterior(k).size
     eps = rng.standard_normal((k * (k + 1) // 2, m, STATE_DIM))
-    key, blocks = (model, dt), [None] * (k + 1)
+    key, later = (model, dt), None  # later: blocks back+1..k after their hops so far
     for back in range(k, 0, -1):
         source, ctx, memo = history._entry(back)
         last = back == history.capacity  # the entry leaves at the next push
         first = memo.pop(key, None) if last else memo.get(key)
-        rows = ([source.states] if first is None else []) + blocks[back + 1:]
-        means = [] if first is None else [step_mean(source.states, first, dt)]
-        if rows:
-            rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
-            means.append(predict_mean_batch(model, rows, ctx, dt))
-        if first is None and not last:
-            memo[key] = means[0][:m, 2:4].copy()
+        if first is None:
+            rows = source.states if later is None else np.concatenate((source.states, later))
+            means = predict_mean_batch(model, rows, ctx, dt)
+            if not last:
+                memo[key] = means[:m, 2:4].copy()
+        else:
+            means = step_mean(source.states, first, dt)
+            if later is not None:
+                means = np.concatenate((means, predict_mean_batch(model, later, ctx, dt)))
         picks = [j * (j - 1) // 2 + j - back for j in range(back, k + 1)]
-        means = means[0] if len(means) == 1 else np.concatenate(means)
-        out = sample_transition_batch(means, eps[picks].reshape(-1, STATE_DIM), noise)
-        blocks[back:] = out.reshape(-1, m, STATE_DIM)
-    return blocks[1:]
+        later = sample_transition_batch(means, eps[picks].reshape(-1, STATE_DIM), noise)
+    return later.reshape(k, m, STATE_DIM)
 
 
 def mixture_update(history: FilterHistory, obs, obs_model: ObservationModel,
@@ -218,30 +211,26 @@ def mixture_update(history: FilterHistory, obs, obs_model: ObservationModel,
     pi = np.asarray(cfg.pi[:k_eff], dtype=np.float64)
     pi = pi / pi.sum()
 
-    block_states = predict_blocks(history, k_eff, model, noise, dt, rng)
-    logliks = [np.asarray(obs_model.log_likelihood(obs, states), dtype=np.float64)
-               for states in block_states]
-    with np.errstate(divide="ignore"):
-        block_logprior = [np.where(w > 0.0, np.log(np.maximum(w, 1e-300)), -np.inf)
-                          for w in (history.posterior(j).weights for j in range(1, k_eff + 1))]
-    block_logw = [log_prior + loglik for log_prior, loglik in zip(block_logprior, logliks)]
-    # A fold from -inf, as max(best, x) block by block: a NaN block is skipped.
-    flagged = max([-np.inf] + [float(np.max(loglik)) for loglik in logliks]) < LOG_UNDERFLOW
-    if flagged:
-        # No block explains the observation at all: drop the likelihood and
-        # keep the pure prediction so the filter survives the frame.
-        block_logw = block_logprior
-        log_scores = np.log(pi)
-    else:
-        log_scores = np.array([np.log(pi[j]) + _logsumexp(block_logw[j]) for j in range(k_eff)])
-
+    blocks = predict_blocks(history, k_eff, model, noise, dt, rng)
+    loglik = np.array([obs_model.log_likelihood(obs, b) for b in blocks], dtype=np.float64)
+    weights = np.array([history.posterior(j).weights for j in range(1, k_eff + 1)])
+    log_w = np.where(weights > 0.0, np.log(np.maximum(weights, 1e-300)), -np.inf)
+    # If no block explains the observation at all (a NaN max never does), drop the
+    # likelihood and keep the pure prediction so the filter survives the frame.
+    flagged = not (loglik.max(axis=1) >= LOG_UNDERFLOW).any()
+    if not flagged:
+        log_w += loglik
+    # Per row, w = exp(log_w - max) and log-sum-exp = max + log(sum(w)); a row
+    # without a finite max gets uniform weights and scores its max.
+    top = log_w.max(axis=1)
+    finite = np.isfinite(top)
+    w = np.exp(np.where(finite[:, None], log_w, 0.0) - np.where(finite, top, 0.0)[:, None])
+    total = w.sum(axis=1)
+    log_scores = np.log(pi) if flagged else np.log(pi) + (top + np.log(total))
     lambdas = _normalize_log(log_scores)
-
-    pooled_states = np.vstack(block_states)
-    pooled_weights = np.concatenate([lam * _normalize_log(logw)
-                                     for lam, logw in zip(lambdas, block_logw)])
+    pooled_weights = (lambdas[:, None] * (w / total[:, None])).reshape(-1)
     pooled_weights /= pooled_weights.sum()
-    return pooled_states, pooled_weights, lambdas, log_scores, flagged
+    return blocks.reshape(-1, STATE_DIM), pooled_weights, lambdas, log_scores, flagged
 
 
 def hpf_step(history: FilterHistory, ctx: CrowdContext, obs, obs_model: ObservationModel,

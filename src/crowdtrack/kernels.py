@@ -462,10 +462,13 @@ def _halfplane_rows(states, radius, nbr_pos, nbr_vel, nbr_rad, tau, dt, neighbor
     rv = np.subtract(v, nbr_vel.T[:, None, :], out=np.empty(shape))
     hit = np.flatnonzero(dist2 < r_sum * r_sum)  # overlapping pairs: the shift replaces the cone
     del dist2
-    shift = _overlap_shift_rows(np.take(rel.reshape(2, -1), hit, axis=1), r_sum[hit % r_sum.size],
-                                dt, np.take(rv.reshape(2, -1), hit, axis=1))
+    if hit.size:  # before the cone, which overwrites rel
+        shift = _overlap_shift_rows(np.take(rel.reshape(2, -1), hit, axis=1),
+                                    r_sum[hit % r_sum.size], dt,
+                                    np.take(rv.reshape(2, -1), hit, axis=1))
     u, n = _vo_closest_boundary_rows(rel, p, nbr_pos, r_sum, tau, rv)
-    u.reshape(2, -1)[:, hit], n.reshape(2, -1)[:, hit] = shift
+    if hit.size:
+        u.reshape(2, -1)[:, hit], n.reshape(2, -1)[:, hit] = shift
     u *= 0.5
     u += v
     return u[0], u[1], n[0], n[1], in_range

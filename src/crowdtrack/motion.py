@@ -143,18 +143,24 @@ def predict_mean_batch(model: str, states: np.ndarray, ctx: CrowdContext, dt: fl
 def step_mean(states: np.ndarray, velocity: np.ndarray, dt: float) -> np.ndarray:
     """Transition means for next velocities (M, 2): position += velocity * dt."""
     out = states.copy()
-    out[:, 2:4] = velocity
-    out[:, 0:2] += velocity * dt
+    for axis in (0, 1):  # by columns: numpy runs an (M, 2) view two elements at a time
+        out[:, 2 + axis] = velocity[:, axis]
+        out[:, axis] += velocity[:, axis] * dt
     return out
 
 
 def _clamp_speeds(states: np.ndarray):
-    for sl in (slice(2, 4), slice(4, 6)):
-        block = states[:, sl]
-        norms = np.sqrt(np.sum(block * block, axis=1))
-        hot = norms > SPEED_CAP
-        if np.any(hot):
-            block[hot] *= (SPEED_CAP / norms[hot])[:, None]
+    vx, vy, dx, dy = states.T[2:6]  # column views
+    square = np.array([vx * vx + vy * vy, dx * dx + dy * dy])  # squared speeds, (2, M)
+    hot = square > SPEED_CAP * SPEED_CAP  # as sqrt(square) > SPEED_CAP: sqrt is monotone
+    if not hot.any():
+        return
+    for first, rows, block_square in zip((2, 4), hot, square):
+        block = states[:, first:first + 2]
+        norms = np.sqrt(block_square[rows])
+        big = np.isinf(norms)  # the square overflowed; hypot scales first
+        norms[big] = np.hypot(*block[rows][big].T)
+        block[rows] *= (SPEED_CAP / norms)[:, None]
 
 
 def sample_transition_batch(means: np.ndarray, eps: np.ndarray, noise: NoiseSpec) -> np.ndarray:

@@ -189,6 +189,34 @@ class TestSweep:
                                      "--out", out]) == 0
         assert len((out / "report.csv").read_text().splitlines()) == 3
 
+    def test_input_file_is_parsed_and_run_once_without_a_drawn_trace(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        from crowdtrack import bench, cli
+        data = tmp_path / "crossing"
+        assert run(["simulate", "--kind", "crossing", "--agents", 2, "--seed", 1,
+                    "--out", data]) == 0
+        calls = {"parse": 0, "predict": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "parse_trajectories", counted("parse", cli.parse_trajectories))
+        monkeypatch.setattr(bench, "run_prediction_protocol",
+                            counted("predict", bench.run_prediction_protocol))
+        capsys.readouterr()
+        best = []
+        for seeds in ("0", "0,1,2,3"):
+            calls.update(parse=0, predict=0)
+            assert run(["sweep", "--input", data / "trajectories.csv", "--set", "hpf.k=1",
+                        "--set", "hpf.pi=1.0", "--set", "sweep.grid.hpf.m=20;30",
+                        "--set", f"sweep.seeds={seeds}", "--out", tmp_path / "s"]) == 0
+            assert calls == {"parse": 1, "predict": 2}
+            best.append(capsys.readouterr().out.splitlines()[0])
+        assert best[0] == best[1]
+
     @pytest.mark.parametrize("key", ["nope", "obs.noise"])
     def test_grid_takes_protocol_keys_only(self, tmp_path, capsys, key):
         setting = f"sweep.grid.{key}=0.1;0.2"

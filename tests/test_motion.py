@@ -163,6 +163,14 @@ class TestTransitionSpeedCap:
         assert digest == self.PIN
 
 
+    def test_clamp_scales_speeds_whose_square_overflows(self):
+        means = np.zeros((1, 6))
+        means[0, 2:6] = [2.5e200, 0.0, 1e155, 1e155]
+        with np.errstate(over="ignore"):
+            out = sample_transition_batch(means, np.zeros_like(means), NoiseSpec(0.0, 0.0, 0.0))
+        assert np.allclose(out[0, 2:6], [3.0, 0.0, 1.5 * 2 ** 0.5, 1.5 * 2 ** 0.5], rtol=1e-15)
+
+
 class TestRvoDelegatedInvariant:
     def test_mean_velocity_satisfies_neighbor_halfplanes(self):
         rng = np.random.default_rng(9)
