@@ -162,7 +162,6 @@ class TestTransitionSpeedCap:
         digest = hashlib.sha256(exact.tobytes() + noisy.tobytes()).hexdigest()
         assert digest == self.PIN
 
-
     def test_clamp_scales_speeds_whose_square_overflows(self):
         means = np.zeros((1, 6))
         means[0, 2:6] = [2.5e200, 0.0, 1e155, 1e155]
