@@ -9,6 +9,7 @@ from crowdtrack import (BodySpec, HpfConfig, NoiseSpec, RvoParams, Scenario,
                         run_tracking_protocol, sweep)
 from crowdtrack.bench import JointTracker, NoEligibleTrials, ProtocolConfig, configure
 from crowdtrack.data import Frame
+from crowdtrack.kernels import BATCH_MIN_ROWS
 
 
 def linear_scenario(n_frames=50, speed=1.3, lanes=(0.0,), dt=0.4):
@@ -226,17 +227,34 @@ def other_reports_digest():
     return digest.hexdigest()
 
 
+def circle_reports_digest():
+    """SHA-256 of RVO+ HPF prediction rows on the README's circle-8 at 48 particles:
+    a dense crowd whose kernel calls have neighbours out of range for every particle,
+    and rows whose constraints are jointly infeasible."""
+    digest = hashlib.sha256()
+    cfg = ProtocolConfig(hpf=HpfConfig(2, (0.91, 0.09), 48))
+    digest_report(digest, run_prediction_protocol(make_scenario("circle", 8, seed=3), "rvo+",
+                                                  "hpf", cfg, seed=0))
+    return digest.hexdigest()
+
+
 class TestReports:
-    # SHA-256 of reports_digest() and other_reports_digest().  A refactor of the
-    # protocols' numeric path must reproduce every report bit for bit, not just closely.
+    # SHA-256 of reports_digest(), other_reports_digest() and circle_reports_digest().
+    # A refactor of the protocols' numeric path must reproduce every report bit for
+    # bit, not just closely.
     REPORT_PIN = "c7537412396d5fb0d290fafa3e2083e041ca5ad51b999df18dd670a92a1768f0"
     OTHER_REPORT_PIN = "446b69b49a9482e227f1d85ab5ceb1596276f37fa80ad940b80dc92aaf19deab"
+    CIRCLE_REPORT_PIN = "0e050798728970cf9cdba2b176fb7725610e7789d61b6a2aeaa12988ffe902d7"
 
     def test_reports_are_bitwise_pinned(self):
         assert reports_digest() == self.REPORT_PIN
 
     def test_lin_plain_rvo_and_third_order_reports_are_bitwise_pinned(self):
         assert other_reports_digest() == self.OTHER_REPORT_PIN
+
+    def test_dense_circle_reports_are_bitwise_pinned(self):
+        assert BATCH_MIN_ROWS <= 48  # the filters' kernel calls run the row kernel
+        assert circle_reports_digest() == self.CIRCLE_REPORT_PIN
 
 
 def test_protocols_step_at_the_scenarios_dt():
