@@ -9,10 +9,15 @@ Batches of at least :data:`BATCH_MIN_ROWS` rows run
 :func:`rvo_velocity_rows`, which does the same floating-point operations
 elementwise over (rows, neighbours) numpy arrays and so returns bitwise the
 same velocities; smaller batches, such as the scenario generator's and the
-rollout's single rows, run the scalar :func:`rvo_velocity` per row.  Every
-returned velocity lies within ``max_speed`` up to rounding (relative 1e-12),
-the least-violation fallback included.  Inputs are not validated here: the
-callers in :mod:`crowdtrack.rvo` and :mod:`crowdtrack.motion` check them.
+rollout's single rows, run the scalar :func:`rvo_velocity` per row.
+
+Input domain: finite inputs whose lengths, speeds and radii are 0 or have
+magnitudes whose squares stay normal floats, for example within [1e-100, 1e100].
+Inside it every returned velocity is finite and lies within ``max_speed`` up to
+rounding (relative 1e-12), the least-violation fallback included.  Outside it
+both paths still agree bit for bit, but squares overflow or underflow and a
+velocity may be nan or too fast.  Inputs are not validated here: the callers
+in :mod:`crowdtrack.rvo` and :mod:`crowdtrack.motion` check them.
 
 Conventions
 -----------
@@ -372,8 +377,9 @@ def rvo_velocity_batch(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
 # scalar kernel above: every ``if`` is an ``np.where`` or masked write on the
 # same predicate, over the same expressions in the same operand order, so each
 # element is computed with exactly the scalar code's floating-point operations.
-# Arrays are (rows, neighbours), or (2, rows, neighbours) for vectors; slots out of
-# range are masked.  Temporaries die at their last use (peak: ~17 such arrays).
+# Arrays are (rows, neighbours), or (2, rows, neighbours) for vectors.  Neighbours
+# out of range for every row are dropped before the cone is built; the remaining
+# out-of-range slots are masked.  Temporaries die at their last use (peak: ~17 such arrays).
 
 def _vo_closest_boundary_rows(x, p, nbr_pos, radius_sum, tau, v):
     """Elementwise :func:`vo_closest_boundary` of x = nbr_pos - p, which it overwrites:
@@ -458,8 +464,12 @@ def _halfplane_rows(states, radius, nbr_pos, nbr_vel, nbr_rad, tau, dt, neighbor
     rel = np.subtract(nbr_pos.T[:, None, :], p, out=np.empty(shape))
     dist2 = rel[0] * rel[0] + rel[1] * rel[1]
     in_range = ~(dist2 > neighbor_radius * neighbor_radius)  # the scalar skip, negated
+    live = in_range.any(axis=0)
+    if not live.all():  # no plane for a neighbour out of range for every row
+        rel, dist2, in_range = np.compress(live, rel, axis=2), dist2[:, live], in_range[:, live]
+        nbr_pos, nbr_vel, nbr_rad = nbr_pos[live], nbr_vel[live], nbr_rad[live]
     r_sum = radius + nbr_rad
-    rv = np.subtract(v, nbr_vel.T[:, None, :], out=np.empty(shape))
+    rv = np.subtract(v, nbr_vel.T[:, None, :], out=np.empty(rel.shape))
     hit = np.flatnonzero(dist2 < r_sum * r_sum)  # overlapping pairs: the shift replaces the cone
     del dist2
     if hit.size:  # before the cone, which overwrites rel
@@ -532,9 +542,12 @@ def rvo_velocity_rows(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
                       tau, dt, neighbor_radius, out_vel):
     """Vectorised :func:`rvo_velocity_batch`, bitwise equal to the per-row kernel.
 
-    Builds every half-plane at once, runs :func:`lp2` over all rows together
-    and the scalar :func:`lp3` on the rows whose program is infeasible, on
-    their compacted constraints.
+    Builds every half-plane at once, for the neighbours in range of at least
+    one row, runs :func:`lp2` over all rows together and the scalar :func:`lp3`
+    on the rows whose program is infeasible, on their compacted constraints.
+    Dropping a neighbour out of range for every row changes no bit: the LPs
+    skip out-of-range slots, and lp3's start, the count of in-range slots
+    before the failing one, stays the same.
     """
     with np.errstate(all="ignore"):
         px, py, nx, ny, in_range = _halfplane_rows(states, radius, nbr_pos, nbr_vel,

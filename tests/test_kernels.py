@@ -67,6 +67,26 @@ def test_batch_equals_scalar_on_seeded_instances(rows, n):
         assert not np.all(feasible)  # rows that take the lp3 fallback
 
 
+def test_lp3_starts_past_a_column_out_of_range_for_every_row():
+    # Column 2 is beyond the cutoff for all 48 rows, and some rows' programs fail
+    # at a later slot: lp3 starts at the count of in-range slots before it.
+    states, args = _random_instance(np.random.default_rng(3), kernels.BATCH_MIN_ROWS, 7)
+    radius, max_speed, nbr_pos, nbr_vel, nbr_rad = (a.tolist() if isinstance(a, np.ndarray)
+                                                    else a for a in args[:5])
+    rel = args[2][None] - states[:, None, :2]
+    in_range = ~(rel[..., 0] * rel[..., 0] + rel[..., 1] * rel[..., 1] > CUTOFF * CUTOFF)
+    assert np.flatnonzero(~in_range.any(axis=0)).tolist() == [2]
+    failing_slots = []
+    for r, row in enumerate(states.tolist()):
+        points, normals = kernels.build_halfplanes(*row[:4], radius, nbr_pos, nbr_vel, nbr_rad,
+                                                   TAU, DT, CUTOFF)
+        begin, _, _ = kernels.lp2(points, normals, max_speed, row[4], row[5], False)
+        if begin < len(points):
+            failing_slots.append(np.flatnonzero(in_range[r])[begin])
+    assert len(failing_slots) >= 5 and min(failing_slots) > 2
+    _assert_bitwise(states, *args)
+
+
 def test_batch_equals_scalar_on_edge_branches():
     # Neighbours: A at (2, 1) moving (0.5, 0.25); B at (0.25, 0) at rest; a
     # duplicate of A; C beyond the cutoff.
@@ -211,16 +231,20 @@ def _equal_or_both_nan(a, b):
 
 @st.composite
 def kernel_batches(draw):
-    """A batch of at least BATCH_MIN_ROWS rows around 0-6 neighbours, and its arguments.
+    """A batch of at least BATCH_MIN_ROWS rows around 0-6 neighbours, its arguments,
+    and whether it lies in the kernel's stated input domain.
 
     Coordinates lie on a grid of 1/8 and tau, dt and the radii are powers of
     two, so the exact cases happen: a relative velocity at a cone's or an
     overlap disc's centre, zero relative velocity, exact tangency, a row on
-    top of a neighbour.  Or the rows are OVERSHOOT_ROW moved by up to 1e-6,
-    whose two constraints are nearly antiparallel.  Then everything with a
-    length is scaled by a power of two, which keeps those cases exact, up to
-    about 1e200 (or down to about 1e-170, where squares underflow), and some
-    entries may be set to +-inf or nan.
+    top of a neighbour.  With a finite cutoff, half the batches also get three
+    neighbours beyond it for every row, at the first, a middle and the last
+    slot; around no other neighbour, every column is out of range.  Or the rows
+    are OVERSHOOT_ROW moved by up to 1e-6, whose two constraints are nearly
+    antiparallel.  Then everything with a length is scaled by a power of two,
+    which keeps those cases exact, up to about 1e200 (or down to about 1e-170,
+    where squares underflow), and some entries may be set to +-inf or nan.
+    Scales 1 and 2**332 without such entries are in the domain.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -252,13 +276,23 @@ def kernel_batches(draw):
             v = np.select([how == 1, how == 2, how == 3],
                           [nbr_vel[k] + rel / tau, nbr_vel[k] + rel / dt, nbr_vel[k]], v)
         states = np.column_stack([p, v, des])
+        if cutoff < math.inf and draw(st.booleans()):
+            # Every row lies within 3.5 of the origin on each axis, so |x| >= 7 is out of range.
+            far_x = rng.choice([-1.0, 1.0], 3) * (7.0 + rng.integers(0, 9, 3) / 8.0)
+            far = np.column_stack([far_x, grid(24, 3)])
+            slots = [0, n // 2, n]
+            nbr_pos = np.insert(nbr_pos, slots, far, axis=0)
+            nbr_vel = np.insert(nbr_vel, slots, grid(8, (3, 2)), axis=0)
+            nbr_rad = np.insert(nbr_rad, slots, rng.choice([0.125, 0.25], 3))
     scale = 2.0 ** draw(st.sampled_from([0, -565, 332, 531, 664]))
+    in_domain = scale in (1.0, 2.0 ** 332)
     for a in (states, nbr_pos, nbr_vel, nbr_rad):
         a *= scale
         if draw(st.integers(0, 3)) == 0 and a.size:
             a.flat[rng.integers(0, a.size, 3)] = rng.choice([np.inf, -np.inf, np.nan], 3)
+            in_domain = False
     return states, (radius * scale, max_speed * scale, nbr_pos, nbr_vel, nbr_rad, tau, dt,
-                    cutoff * scale)
+                    cutoff * scale), in_domain
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,9 +301,13 @@ def kernel_batches(draw):
 def test_scalar_kernel_equals_row_kernel_on_drawn_geometry(batch):
     """Per row, the scalar kernel on floats equals the row kernel bit for bit (nan
     equal to nan), and neither raises: no ZeroDivisionError from an exact 0
-    divisor, no ValueError from a negative square root, no OverflowError."""
-    states, args = batch
+    divisor, no ValueError from a negative square root, no OverflowError.  Inside
+    the stated domain, every velocity is finite and within max_speed."""
+    states, args, in_domain = batch
     expected, _ = _scalar(states, *args)
     out = np.full((states.shape[0], 2), 42.0)
     kernels.rvo_velocity_rows(states, *args, out)
     assert np.all(_equal_or_both_nan(out, expected))
+    if in_domain:
+        assert np.all(np.isfinite(out))
+        assert np.all(np.hypot(out[:, 0], out[:, 1]) <= args[1] * (1.0 + 1e-12))
