@@ -464,10 +464,11 @@ def _halfplane_rows(states, radius, nbr_pos, nbr_vel, nbr_rad, tau, dt, neighbor
     rel = np.subtract(nbr_pos.T[:, None, :], p, out=np.empty(shape))
     dist2 = rel[0] * rel[0] + rel[1] * rel[1]
     in_range = ~(dist2 > neighbor_radius * neighbor_radius)  # the scalar skip, negated
-    live = in_range.any(axis=0)
-    if not live.all():  # no plane for a neighbour out of range for every row
-        rel, dist2, in_range = np.compress(live, rel, axis=2), dist2[:, live], in_range[:, live]
-        nbr_pos, nbr_vel, nbr_rad = nbr_pos[live], nbr_vel[live], nbr_rad[live]
+    if not in_range.all():  # one reduction for the common call with every pair in range
+        live = in_range.any(axis=0)
+        if not live.all():  # no plane for a neighbour out of range for every row
+            rel, dist2, in_range = np.compress(live, rel, axis=2), dist2[:, live], in_range[:, live]
+            nbr_pos, nbr_vel, nbr_rad = nbr_pos[live], nbr_vel[live], nbr_rad[live]
     r_sum = radius + nbr_rad
     rv = np.subtract(v, nbr_vel.T[:, None, :], out=np.empty(rel.shape))
     hit = np.flatnonzero(dist2 < r_sum * r_sum)  # overlapping pairs: the shift replaces the cone
