@@ -71,15 +71,14 @@ def test_lp3_starts_past_a_column_out_of_range_for_every_row():
     # Column 2 is beyond the cutoff for all 48 rows, and some rows' programs fail
     # at a later slot: lp3 starts at the count of in-range slots before it.
     states, args = _random_instance(np.random.default_rng(3), kernels.BATCH_MIN_ROWS, 7)
-    radius, max_speed, nbr_pos, nbr_vel, nbr_rad = (a.tolist() if isinstance(a, np.ndarray)
-                                                    else a for a in args[:5])
-    rel = args[2][None] - states[:, None, :2]
+    radius, max_speed, nbr_pos = args[:3]
+    neighbours = [a.tolist() for a in args[2:5]]
+    rel = nbr_pos[None] - states[:, None, :2]
     in_range = ~(rel[..., 0] * rel[..., 0] + rel[..., 1] * rel[..., 1] > CUTOFF * CUTOFF)
     assert np.flatnonzero(~in_range.any(axis=0)).tolist() == [2]
     failing_slots = []
     for r, row in enumerate(states.tolist()):
-        points, normals = kernels.build_halfplanes(*row[:4], radius, nbr_pos, nbr_vel, nbr_rad,
-                                                   TAU, DT, CUTOFF)
+        points, normals = kernels.build_halfplanes(*row[:4], radius, *neighbours, TAU, DT, CUTOFF)
         begin, _, _ = kernels.lp2(points, normals, max_speed, row[4], row[5], False)
         if begin < len(points):
             failing_slots.append(np.flatnonzero(in_range[r])[begin])
