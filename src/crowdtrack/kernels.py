@@ -379,11 +379,11 @@ def rvo_velocity_batch(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
 # element is computed with exactly the scalar code's floating-point operations.
 # Arrays are (rows, neighbours), or (2, rows, neighbours) for vectors.  Neighbours
 # out of range for every row are dropped before the cone is built; the remaining
-# out-of-range slots are masked.  Temporaries die at their last use (peak: ~17 such arrays).
+# out-of-range slots are masked.  Temporaries die at their last use.
 
-def _vo_closest_boundary_rows(x, p, nbr_pos, radius_sum, tau, v):
-    """Elementwise :func:`vo_closest_boundary` of x = nbr_pos - p, which it overwrites:
-    (u, n), NaN where |x| = 0.  The centre x / tau is computed again at the end."""
+def _vo_closest_boundary_rows(x, radius_sum, tau, v):
+    """Elementwise :func:`vo_closest_boundary` of x and v, which it only reads:
+    (u, n), NaN where |x| = 0."""
     def leg(d):
         """Offset s of the closest point s * d on a leg, and its distance to v."""
         s = v[0] * d[0] + v[1] * d[1]
@@ -395,7 +395,7 @@ def _vo_closest_boundary_rows(x, p, nbr_pos, radius_sum, tau, v):
         ex += np.multiply(ey, ey, out=ey)
         return s, np.sqrt(ex, out=ex)
 
-    c = np.divide(x, tau, out=x)
+    c = x / tau
     rho = radius_sum / tau
     c_norm = np.sqrt(c[0] * c[0] + c[1] * c[1])
     a = c / c_norm
@@ -403,7 +403,7 @@ def _vo_closest_boundary_rows(x, p, nbr_pos, radius_sum, tau, v):
     cos_half = 1.0 - sin_half * sin_half
     cos_half = np.sqrt(np.where(cos_half < 0.0, 0.0, cos_half))
     tangent_dist = c_norm * cos_half
-    wu = np.subtract(v, c, out=c)
+    wu = v - c
     w_norm = np.sqrt(wu[0] * wu[0] + wu[1] * wu[1])
     at_center = w_norm < 1e-300
     wu /= w_norm
@@ -439,8 +439,6 @@ def _vo_closest_boundary_rows(x, p, nbr_pos, radius_sum, tau, v):
     del s, rd, skip
 
     n = np.where(arc, wu, n)
-    c = np.subtract(nbr_pos.T[:, None, :], p, out=np.empty_like(q))
-    c /= tau
     q = np.where(arc, np.add(c, np.multiply(rho, wu, out=wu), out=c), q)
     return np.subtract(q, v, out=q), n
 
@@ -468,18 +466,16 @@ def _halfplane_rows(states, radius, nbr_pos, nbr_vel, nbr_rad, tau, dt, neighbor
         live = in_range.any(axis=0)
         if not live.all():  # no plane for a neighbour out of range for every row
             rel, dist2, in_range = np.compress(live, rel, axis=2), dist2[:, live], in_range[:, live]
-            nbr_pos, nbr_vel, nbr_rad = nbr_pos[live], nbr_vel[live], nbr_rad[live]
+            nbr_vel, nbr_rad = nbr_vel[live], nbr_rad[live]
     r_sum = radius + nbr_rad
     rv = np.subtract(v, nbr_vel.T[:, None, :], out=np.empty(rel.shape))
     hit = np.flatnonzero(dist2 < r_sum * r_sum)  # overlapping pairs: the shift replaces the cone
     del dist2
-    if hit.size:  # before the cone, which overwrites rel
-        shift = _overlap_shift_rows(np.take(rel.reshape(2, -1), hit, axis=1),
-                                    r_sum[hit % r_sum.size], dt,
-                                    np.take(rv.reshape(2, -1), hit, axis=1))
-    u, n = _vo_closest_boundary_rows(rel, p, nbr_pos, r_sum, tau, rv)
+    u, n = _vo_closest_boundary_rows(rel, r_sum, tau, rv)
     if hit.size:
-        u.reshape(2, -1)[:, hit], n.reshape(2, -1)[:, hit] = shift
+        u.reshape(2, -1)[:, hit], n.reshape(2, -1)[:, hit] = _overlap_shift_rows(
+            np.take(rel.reshape(2, -1), hit, axis=1), r_sum[hit % r_sum.size], dt,
+            np.take(rv.reshape(2, -1), hit, axis=1))
     u *= 0.5
     u += v
     return u[0], u[1], n[0], n[1], in_range
