@@ -196,6 +196,7 @@ def _parse_obsmat(text: str, name: str) -> Scenario:
     checked on those files, none of which is in this repository.
     """
     entries: Dict[int, List[Tuple[int, np.ndarray]]] = {}
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("%"):
@@ -212,6 +213,9 @@ def _parse_obsmat(text: str, name: str) -> Scenario:
             raise MalformedRow(lineno, str(exc)) from None
         if not (np.isfinite(x) and np.isfinite(y)):
             raise MalformedRow(lineno, "non-finite position")
+        if (frame, agent_id) in seen:
+            raise MalformedRow(lineno, f"duplicate (frame, id) = ({frame}, {agent_id})")
+        seen.add((frame, agent_id))
         entries.setdefault(frame, []).append((agent_id, np.array([x, y])))
     if not entries:
         raise EmptyFile("no data rows")

@@ -300,6 +300,14 @@ def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, arg
     assert {2: f"'{key}'", 3: key, 4: f"{key} must"}[code] in err
 
 
+def test_duplicate_obsmat_row_exits_4_naming_line(tmp_path, capsys):
+    path = tmp_path / "dup.txt"
+    path.write_text("".join(f"{n} 1 0.0 0.0 0.0 0.0 0.0 0.0\n" for n in (780, 786, 786, 792)))
+    assert run(["predict", "--input", path, "--format", "obsmat", "--out", tmp_path / "x"]) == 4
+    assert not (tmp_path / "x").exists()
+    assert "line 3: duplicate (frame, id) = (786, 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rows", [
     # The squared norm of this error overflows, the error itself does not.
     "0,0,0,0\n0,1,0,0\n1,0,0,0\n2,0,0,1.3407807929942597e+154\n",

@@ -129,6 +129,13 @@ class TestParseObsmat:
         with pytest.raises(ValueError, match="frame 847 must lie on the grid of step 6"):
             parse_trajectories(path, fmt="obsmat")
 
+    def test_duplicate_frame_id_names_line(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("".join(f"{n} 1 0.0 0.0 0.0 0.0 0.0 0.0\n" for n in (780, 786, 786, 792)))
+        with pytest.raises(MalformedRow, match=r"duplicate \(frame, id\) = \(786, 1\)") as err:
+            parse_trajectories(path, fmt="obsmat")
+        assert err.value.line_number == 3
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("840 1 10.0 0.0 5.0\n")
