@@ -308,6 +308,7 @@ def test_duplicate_obsmat_row_exits_4_naming_line(tmp_path, capsys):
     assert "line 3: duplicate (frame, id) = (786, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("default:overflow encountered:RuntimeWarning")  # ROADMAP item 4
 @pytest.mark.parametrize("rows", [
     # The squared norm of this error overflows, the error itself does not.
     "0,0,0,0\n0,1,0,0\n1,0,0,0\n2,0,0,1.3407807929942597e+154\n",
@@ -397,6 +398,7 @@ def trajectory_text(draw):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.filterwarnings("default:overflow encountered:RuntimeWarning")  # ROADMAP item 4
 @settings(max_examples=150, deadline=None)
 @given(text=trajectory_text(), obs_noise=st.sampled_from([0.0, 0.1]))
 # A finite jump of 1e200 m: the filters' means overflow, which must exit 4.
