@@ -209,7 +209,7 @@ def _parse_obsmat(text: str, name: str) -> Scenario:
             agent_id = int(float(parts[1]))
             x = float(parts[2])
             y = float(parts[4])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # int(inf) overflows
             raise MalformedRow(lineno, str(exc)) from None
         if not (np.isfinite(x) and np.isfinite(y)):
             raise MalformedRow(lineno, "non-finite position")

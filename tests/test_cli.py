@@ -300,12 +300,16 @@ def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, arg
     assert {2: f"'{key}'", 3: key, 4: f"{key} must"}[code] in err
 
 
-def test_duplicate_obsmat_row_exits_4_naming_line(tmp_path, capsys):
-    path = tmp_path / "dup.txt"
-    path.write_text("".join(f"{n} 1 0.0 0.0 0.0 0.0 0.0 0.0\n" for n in (780, 786, 786, 792)))
+@pytest.mark.parametrize("frames, message", [
+    ("780 786 786 792", "line 3: duplicate (frame, id) = (786, 1)"),
+    ("0 inf", "line 2: cannot convert float infinity to integer"),
+], ids=["duplicate", "inf_frame"])
+def test_bad_obsmat_row_exits_4_naming_line(tmp_path, capsys, frames, message):
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(f"{n} 1 0.0 0.0 0.0 0.0 0.0 0.0\n" for n in frames.split()))
     assert run(["predict", "--input", path, "--format", "obsmat", "--out", tmp_path / "x"]) == 4
     assert not (tmp_path / "x").exists()
-    assert "line 3: duplicate (frame, id) = (786, 1)" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("default:overflow encountered:RuntimeWarning")  # ROADMAP item 4
