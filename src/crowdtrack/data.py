@@ -135,6 +135,18 @@ def _grid_frames(entries: Dict[int, List[Tuple[int, np.ndarray]]], step: int,
             for number in range(first, numbers[-1] + 1, step)]
 
 
+def _add_row(entries: Dict[int, List[Tuple[int, np.ndarray]]], seen: set, lineno: int,
+             frame: int, agent_id: int, x: float, y: float):
+    """Append one parsed row to ``entries`` and its (frame, id) to ``seen``; raise
+    MalformedRow at ``lineno`` on a non-finite position or a repeated (frame, id)."""
+    if not (np.isfinite(x) and np.isfinite(y)):
+        raise MalformedRow(lineno, "non-finite position")
+    if (frame, agent_id) in seen:
+        raise MalformedRow(lineno, f"duplicate (frame, id) = ({frame}, {agent_id})")
+    seen.add((frame, agent_id))
+    entries.setdefault(frame, []).append((agent_id, np.array([x, y])))
+
+
 def _parse_csv_fixy(text: str, name: str) -> Scenario:
     meta: Dict[str, str] = {}
     entries: Dict[int, List[Tuple[int, np.ndarray]]] = {}
@@ -166,14 +178,9 @@ def _parse_csv_fixy(text: str, name: str) -> Scenario:
             y = float(parts[3])
         except ValueError as exc:
             raise MalformedRow(lineno, str(exc)) from None
-        if not (np.isfinite(x) and np.isfinite(y)):
-            raise MalformedRow(lineno, "non-finite position")
-        if (frame, agent_id) in seen:
-            raise MalformedRow(lineno, f"duplicate (frame, id) = ({frame}, {agent_id})")
-        seen.add((frame, agent_id))
-        if entries and frame < last:
+        _add_row(entries, seen, lineno, frame, agent_id, x, y)
+        if last is not None and frame < last:
             raise NonMonotoneFrames(f"line {lineno}: frame {frame} after frame {last}")
-        entries.setdefault(frame, []).append((agent_id, np.array([x, y])))
         last = frame
     if not entries:
         raise EmptyFile("no data rows")
@@ -211,12 +218,7 @@ def _parse_obsmat(text: str, name: str) -> Scenario:
             y = float(parts[4])
         except (ValueError, OverflowError) as exc:  # int(inf) overflows
             raise MalformedRow(lineno, str(exc)) from None
-        if not (np.isfinite(x) and np.isfinite(y)):
-            raise MalformedRow(lineno, "non-finite position")
-        if (frame, agent_id) in seen:
-            raise MalformedRow(lineno, f"duplicate (frame, id) = ({frame}, {agent_id})")
-        seen.add((frame, agent_id))
-        entries.setdefault(frame, []).append((agent_id, np.array([x, y])))
+        _add_row(entries, seen, lineno, frame, agent_id, x, y)
     if not entries:
         raise EmptyFile("no data rows")
     numbers = sorted(entries)

@@ -21,7 +21,7 @@ from typing import Protocol, Tuple
 
 import numpy as np
 
-from .motion import (AgentState, CrowdContext, NoiseSpec, STATE_DIM, predict_mean_batch,
+from .motion import (CrowdContext, NoiseSpec, STATE_DIM, predict_mean_batch,
                      sample_transition_batch, step_mean)
 
 #: Below this max log-likelihood a step is treated as carrying no information.
@@ -156,14 +156,6 @@ def resample(pooled: ParticleSet, m: int, rng: np.random.Generator) -> ParticleS
     positions = (np.arange(m) + rng.random()) / m
     idx = np.searchsorted(cum, positions, side="right")
     return ParticleSet(pooled.states.take(idx, axis=0), np.full(m, 1.0 / m), pooled.flagged)
-
-
-def posterior_mean(pset: ParticleSet) -> AgentState:
-    """Weight-weighted mean state of a normalized particle set."""
-    total = float(pset.weights.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError("particle set must be normalized")
-    return AgentState.from_array(pset.weights @ pset.states)
 
 
 def predict_blocks(history: FilterHistory, k: int, model: str, noise: NoiseSpec,

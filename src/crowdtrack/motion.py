@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from . import kernels
-from .rvo import RvoParams, as_vec, check_body
+from .rvo import RvoParams, check_body
 
 #: Hard cap on pedestrian speed and desired speed (m/s).
 SPEED_CAP = 3.0
@@ -27,30 +27,6 @@ STATE_DIM = 6
 
 #: Model ids implemented here.
 MODELS = ("lin", "rvo")
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Position (m), velocity (m/s) and desired velocity (m/s) of one pedestrian."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    desired_velocity: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", as_vec(self.position, "position"))
-        object.__setattr__(self, "velocity", as_vec(self.velocity, "velocity"))
-        object.__setattr__(self, "desired_velocity", as_vec(self.desired_velocity, "desired_velocity"))
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.position, self.velocity, self.desired_velocity])
-
-    @staticmethod
-    def from_array(arr) -> "AgentState":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.shape != (STATE_DIM,):
-            raise ValueError(f"state array must have shape ({STATE_DIM},)")
-        return AgentState(arr[0:2], arr[2:4], arr[4:6])
 
 
 @dataclass(frozen=True)

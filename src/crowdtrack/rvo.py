@@ -6,13 +6,12 @@ horizon forms a truncated cone in velocity space; sharing the avoidance
 effort equally gives each agent one permitted half-plane per neighbor, and
 the new velocity is the feasible point closest to the agent's desired
 velocity.  The geometry is in :mod:`crowdtrack.kernels`; this module checks
-inputs and calls it for state rows (:func:`crowd_step`), bodies and half-planes.
+inputs and calls it for state rows (:func:`crowd_step`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +20,10 @@ from . import kernels
 #: Smallest speed limit a body may have (m/s).  Its square is a normal float,
 #: so the kernel's speed-disc test cannot underflow to 0 > 0 and admit any speed.
 MIN_MAX_SPEED = 1e-150
+
+#: Largest radius a body may have (m).  The square of two radii summed stays a
+#: normal float (4e300), inside the kernel's stated input domain.
+MAX_RADIUS = 1e150
 
 
 def as_vec(value, name="vector"):
@@ -33,11 +36,11 @@ def as_vec(value, name="vector"):
     return arr
 
 
-def check_body(radius: Optional[float], max_speed: float):
-    """Raise ValueError, naming the field, unless ``radius`` is finite and > 0 (None
-    skips it) and ``max_speed`` is finite and >= `MIN_MAX_SPEED`."""
-    if radius is not None and not (0.0 < radius < np.inf):
-        raise ValueError("radius must be finite and > 0")
+def check_body(radius: float, max_speed: float):
+    """Raise ValueError, naming the field, unless 0 < ``radius`` <= `MAX_RADIUS`
+    and `MIN_MAX_SPEED` <= ``max_speed`` < inf."""
+    if not (0.0 < radius <= MAX_RADIUS):
+        raise ValueError(f"radius must be > 0 and <= {MAX_RADIUS!r}")
     if not (MIN_MAX_SPEED <= max_speed < np.inf):
         raise ValueError(f"max_speed must be finite and >= {MIN_MAX_SPEED!r}")
 
@@ -58,20 +61,6 @@ class AgentBody:
 
 
 @dataclass(frozen=True)
-class HalfPlane:
-    """Permitted-velocity constraint: v is admitted iff (v - point) . normal >= 0."""
-
-    point: np.ndarray
-    normal: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", as_vec(self.point, "point"))
-        object.__setattr__(self, "normal", as_vec(self.normal, "normal"))
-        if abs(float(np.linalg.norm(self.normal)) - 1.0) > 1e-9:
-            raise ValueError("normal must have unit length")
-
-
-@dataclass(frozen=True)
 class RvoParams:
     """Planning horizon and step length (finite, > 0) and neighbor cutoff (> 0, inf for none)."""
 
@@ -85,34 +74,6 @@ class RvoParams:
                 raise ValueError(f"{field_name} must be finite and > 0")
         if not (self.neighbor_radius > 0.0):
             raise ValueError("neighbor_radius must be > 0")
-
-
-@dataclass(frozen=True)
-class VelocitySolution:
-    """Result of the constrained velocity choice.
-
-    ``feasible`` is False when the half-plane intersection was empty; the
-    velocity then minimizes the largest constraint violation instead of
-    satisfying all constraints.
-    """
-
-    velocity: np.ndarray
-    feasible: bool
-
-
-def solve_velocity(halfplanes, max_speed: float, v_desire) -> VelocitySolution:
-    """Velocity closest to v_desire within all half-planes and the speed disc.
-
-    Constraints are processed in the given order (deterministic).  With an
-    empty feasible region the returned solution is flagged infeasible and
-    carries the least-violation velocity, still within the speed disc.
-    """
-    check_body(None, max_speed)
-    v_desire = as_vec(v_desire, "v_desire")
-    feasible, vx, vy = kernels.solve_velocity_kernel(
-        [hp.point.tolist() for hp in halfplanes], [hp.normal.tolist() for hp in halfplanes],
-        float(max_speed), float(v_desire[0]), float(v_desire[1]))
-    return VelocitySolution(velocity=np.array([vx, vy]), feasible=bool(feasible))
 
 
 def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
@@ -145,14 +106,7 @@ def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
     return out
 
 
-def _rows(agents, v_desires):
-    """State rows, radii and speed limits of a list of bodies."""
-    states = np.array([np.concatenate([a.position, a.velocity, as_vec(v, "v_desire")])
-                       for a, v in zip(agents, v_desires)]).reshape(len(agents), 6)
-    return (states, np.array([a.radius for a in agents]),
-            np.array([a.max_speed for a in agents]))
-
-
+# Only tests call this; it stays while perfbench's tracer wraps `rvo.rvo_step` by name.
 def rvo_step(self_idx: int, agents, v_desire, params: RvoParams) -> np.ndarray:
     """New velocity for one agent given every agent's current body.
 
@@ -166,12 +120,10 @@ def rvo_step(self_idx: int, agents, v_desire, params: RvoParams) -> np.ndarray:
         raise ValueError("agents must be nonempty")
     if not (0 <= self_idx < len(agents)):
         raise ValueError(f"self_idx {self_idx} out of range")
-    v_desires = [v_desire if i == self_idx else a.velocity for i, a in enumerate(agents)]
-    return crowd_step(*_rows(agents, v_desires), params)[self_idx, 2:4]
-
-
-def step_all(agents, v_desires, params: RvoParams):
-    """Advance every agent one step simultaneously from the shared snapshot."""
-    rows = crowd_step(*_rows(agents, v_desires), params)
-    return [replace(agent, position=row[0:2], velocity=row[2:4])
-            for agent, row in zip(agents, rows)]
+    desires = [as_vec(v_desire, "v_desire") if i == self_idx else a.velocity
+               for i, a in enumerate(agents)]
+    states = np.array([np.concatenate([a.position, a.velocity, desire])
+                       for a, desire in zip(agents, desires)])
+    radii = np.array([a.radius for a in agents])
+    max_speeds = np.array([a.max_speed for a in agents])
+    return crowd_step(states, radii, max_speeds, params)[self_idx, 2:4]

@@ -11,16 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from crowdtrack import (AgentBody, BodySpec, CrowdContext,
-                        GaussianPositionLikelihood, HalfPlane, HpfConfig,
-                        NoiseSpec, ParticleSet, RvoParams, classify_track,
-                        corrupt, hpf_step, make_scenario, parse_trajectories,
-                        pf_step, posterior_mean, run_prediction_protocol,
-                        run_tracking_protocol, solve_velocity)
+from crowdtrack import (BodySpec, CrowdContext, GaussianPositionLikelihood,
+                        HpfConfig, NoiseSpec, ParticleSet, RvoParams,
+                        classify_track, corrupt, crowd_step, hpf_step, kernels,
+                        make_scenario, parse_trajectories, pf_step,
+                        run_prediction_protocol, run_tracking_protocol)
 from crowdtrack.bench import ProtocolConfig
 from crowdtrack.data import simulate_goal_driven
 from crowdtrack.filters import FilterHistory
-from crowdtrack.rvo import rvo_step, step_all
 
 from helpers import kalman_filter_lin, project_oracle, random_lp_instance
 
@@ -35,22 +33,21 @@ def test_criterion_1_lp_oracle_equivalence():
     """500 seeded instances match the dense projection oracle within 1e-6."""
     rng = np.random.default_rng(2024)
     instances = [random_lp_instance(rng) for _ in range(500)]
-    halfplane_sets = [[HalfPlane(p, n) for p, n in zip(points, normals)]
-                      for points, normals, _, _ in instances]
-    solve_velocity(halfplane_sets[0], instances[0][2], instances[0][3])  # warm up
+    kernel_args = [(points.tolist(), normals.tolist(), max_speed, float(v_desire[0]),
+                    float(v_desire[1])) for points, normals, max_speed, v_desire in instances]
+    kernels.solve_velocity_kernel(*kernel_args[0])  # warm up
 
     start = time.perf_counter()
-    solutions = [solve_velocity(hps, inst[2], inst[3])
-                 for hps, inst in zip(halfplane_sets, instances)]
+    solutions = [kernels.solve_velocity_kernel(*args) for args in kernel_args]
     elapsed = time.perf_counter() - start
 
     worst = 0.0
     n_feasible = 0
-    for (points, normals, max_speed, v_desire), sol in zip(instances, solutions):
+    for (points, normals, max_speed, v_desire), (feasible, vx, vy) in zip(instances, solutions):
         oracle = project_oracle(points, normals, max_speed, v_desire)
-        if sol.feasible:
+        if feasible:
             assert oracle is not None
-            worst = max(worst, float(np.linalg.norm(sol.velocity - oracle)))
+            worst = max(worst, float(np.linalg.norm(np.array([vx, vy]) - oracle)))
             n_feasible += 1
         elif oracle is not None:
             margins = [float((oracle - p) @ n) for p, n in zip(points, normals)]
@@ -65,27 +62,26 @@ def test_criterion_2_reciprocal_avoidance():
     params = RvoParams(time_horizon_tau=2.0, dt=0.1, neighbor_radius=10.0)
 
     def build(kind):
+        """State rows [p, v, v_desired], radii and speed limits of one scenario."""
         if kind == "head_on":
             radius = 0.4
-            agents = [AgentBody([-3.0, 0.0], [1.3, 0.0], radius, 2.0),
-                      AgentBody([3.0, 0.0], [-1.3, 0.0], radius, 2.0)]
-            desires = [np.array([1.3, 0.0]), np.array([-1.3, 0.0])]
+            rows = [[-3.0, 0.0, 1.3, 0.0, 1.3, 0.0], [3.0, 0.0, -1.3, 0.0, -1.3, 0.0]]
         elif kind == "circle":
             radius = 0.25
-            agents, desires = [], []
+            rows = []
             rng = np.random.default_rng(5)
             for k in range(8):
                 ang = 2 * np.pi * k / 8 + rng.uniform(-0.05, 0.05)
                 r = 5.0 + rng.uniform(-0.3, 0.3)
                 pos = r * np.array([np.cos(ang), np.sin(ang)])
                 goal = -5.0 * np.array([np.cos(ang), np.sin(ang)])
-                agents.append(AgentBody(pos, np.zeros(2), radius, 2.0))
                 to_goal = goal - pos
-                desires.append(to_goal / np.linalg.norm(to_goal) * 1.3)
+                desire = to_goal / np.linalg.norm(to_goal) * 1.3
+                rows.append(np.concatenate([pos, np.zeros(2), desire]))
         else:  # 4-agent crossing
             radius = 0.25
             rng = np.random.default_rng(3)
-            agents, desires = [], []
+            rows = []
             for i in range(4):
                 lane = (i // 2) * 0.8 + rng.uniform(-0.25, 0.25)
                 stag = rng.uniform(0.0, 0.5)
@@ -93,24 +89,22 @@ def test_criterion_2_reciprocal_avoidance():
                     pos, direction = np.array([-6.0 - stag, lane]), np.array([1.3, 0.0])
                 else:
                     pos, direction = np.array([lane, -6.0 - stag]), np.array([0.0, 1.3])
-                agents.append(AgentBody(pos, direction.copy(), radius, 2.0))
-                desires.append(direction)
-        return agents, desires
+                rows.append(np.concatenate([pos, direction, direction]))
+        return np.array(rows), np.full(len(rows), radius), np.full(len(rows), 2.0)
 
-    # Warm-up outside the timed window (JIT compilation).
-    agents, desires = build("head_on")
-    step_all(agents, desires, params)
+    # Warm-up outside the timed window.
+    crowd_step(*build("head_on"), params)
 
     start = time.perf_counter()
     worst_margin = np.inf
     for kind in ("head_on", "circle", "crossing"):
-        agents, desires = build(kind)
+        rows, radii, max_speeds = build(kind)
         for _ in range(200):
-            agents = step_all(agents, desires, params)
-            for i in range(len(agents)):
-                for j in range(i + 1, len(agents)):
-                    gap = float(np.linalg.norm(agents[i].position - agents[j].position))
-                    margin = gap - (agents[i].radius + agents[j].radius)
+            rows = crowd_step(rows, radii, max_speeds, params)
+            for i in range(len(rows)):
+                for j in range(i + 1, len(rows)):
+                    gap = float(np.linalg.norm(rows[i, 0:2] - rows[j, 0:2]))
+                    margin = gap - (radii[i] + radii[j])
                     worst_margin = min(worst_margin, margin)
     elapsed = time.perf_counter() - start
     verdict(2, worst_margin >= -1e-6 and elapsed < 1.0,
@@ -213,7 +207,7 @@ def test_criterion_5_kalman_oracle():
         devs, var_mis = [], []
         for t in range(steps):
             pset = pf_step(pset, ctx, observations[t], obs_model, "lin", noise, dt, rng)
-            pf_mean = posterior_mean(pset).to_array()
+            pf_mean = pset.weights @ pset.states
             pf_var = pset.states.var(axis=0)
             kf_std = np.sqrt(np.diag(kf_covs[t]))
             # The identifiable linear-Gaussian block is position+velocity;

@@ -247,6 +247,7 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (TRACK + ["--set", "body.radius=inf"], 2, "body.radius"),
     (TRACK + ["--set", "body.max_speed=inf"], 2, "body.max_speed"),
     (TRACK + ["--set", "body.max_speed=1e-170"], 2, "body.max_speed"),
+    (["predict", "--input", "f.csv", "--set", "body.radius=1e200"], 2, "body.radius"),
     (TRACK + ["--obs-noise", "-0.3"], 2, "obs.noise"),
     (TRACK + ["--obs-noise", "nan"], 2, "obs.noise"),
     (TRACK + ["--obs-noise", "inf"], 2, "obs.noise"),

@@ -143,6 +143,25 @@ class TestParseObsmat:
             parse_trajectories(path, fmt="obsmat")
 
 
+@pytest.mark.parametrize("fmt, header, row", [
+    ("csv-fixy", "frame,id,x,y", "{frame},1,{x},{y}"),
+    ("obsmat", "# frame id x z y vx vz vy", "{frame} 1 {x} 0.0 {y} 0.0 0.0 0.0"),
+], ids=["csv-fixy", "obsmat"])
+@pytest.mark.parametrize("frame, x, y, message", [
+    (1, "nan", 0.5, "non-finite position"),
+    (1, 0.5, "inf", "non-finite position"),
+    (0, 0.5, 0.5, r"duplicate \(frame, id\) = \(0, 1\)"),
+], ids=["nan_x", "inf_y", "duplicate"])
+def test_bad_row_is_malformed_at_its_line(tmp_path, fmt, header, row, frame, x, y, message):
+    lines = [header, row.format(frame=0, x=0.0, y=0.0), row.format(frame=frame, x=x, y=y),
+             row.format(frame=2, x=1.0, y=1.0)]
+    path = tmp_path / "rows.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedRow, match=message) as err:
+        parse_trajectories(path, fmt=fmt)
+    assert err.value.line_number == 3
+
+
 class TestMakeScenario:
     def test_same_seed_identical(self):
         a = make_scenario("circle", 6, seed=9, steps=30)

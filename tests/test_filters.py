@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from crowdtrack import (AgentState, CrowdContext, GaussianPositionLikelihood,
-                        HpfConfig, NoiseSpec, ParticleSet, RvoParams, hpf_step,
-                        kernels, pf_step, posterior_mean, resample)
+from crowdtrack import (CrowdContext, GaussianPositionLikelihood, HpfConfig,
+                        NoiseSpec, ParticleSet, RvoParams, hpf_step, kernels,
+                        pf_step, resample)
 from crowdtrack.bench import JointTracker, ProtocolConfig
 from crowdtrack.filters import (FilterHistory, InsufficientHistory,
                                 mixture_update, predict_blocks)
@@ -75,30 +75,6 @@ class TestResample:
                      np.random.default_rng(0))
 
 
-class TestPosteriorMean:
-    def test_single_particle(self):
-        s = AgentState([1.0, 2.0], [0.5, 0.0], [0.5, 0.0])
-        pset = ParticleSet(s.to_array()[None, :], np.array([1.0]))
-        assert np.array_equal(posterior_mean(pset).to_array(), s.to_array())
-
-    def test_two_equal_weights(self):
-        states = np.zeros((2, 6))
-        states[1, 0] = 2.0
-        out = posterior_mean(ParticleSet(states, np.array([0.5, 0.5])))
-        assert np.allclose(out.position, [1.0, 0.0])
-
-    def test_matches_naive_summation(self):
-        rng = np.random.default_rng(3)
-        states = rng.standard_normal((50, 6))
-        w = rng.random(50)
-        w /= w.sum()
-        out = posterior_mean(ParticleSet(states, w)).to_array()
-        naive = np.zeros(6)
-        for i in range(50):
-            naive += w[i] * states[i]
-        assert np.all(np.abs(out - naive) < 1e-12)
-
-
 class TestPfStep:
     def test_flat_likelihood_keeps_propagated_prior_mean(self):
         rng = np.random.default_rng(4)
@@ -109,7 +85,7 @@ class TestPfStep:
                        np.random.default_rng(5))
         propagated = transition("lin", prior.states, empty_ctx(),
                                 noise, DT, np.random.default_rng(6))
-        got = posterior_mean(post).to_array()
+        got = post.weights @ post.states
         want = propagated.mean(axis=0)
         scale = noise.block_scales() + prior.states.std(axis=0)
         assert np.all(np.abs(got - want) < 4.0 * scale / np.sqrt(10000))
@@ -125,7 +101,7 @@ class TestPfStep:
         post = pf_step(prior, empty_ctx(), target,
                        GaussianPositionLikelihood(sigma_obs), "lin",
                        NoiseSpec(0.0, 0.0, 0.0), DT, rng)
-        mean_pos = posterior_mean(post).position
+        mean_pos = (post.weights @ post.states)[0:2]
         assert np.all(np.abs(mean_pos - target) < 3.0 * sigma_obs / np.sqrt(m))
 
     def test_underflow_falls_back_to_prediction(self):
@@ -163,7 +139,7 @@ class TestPfStep:
         devs = []
         for t in range(steps):
             pset = pf_step(pset, empty_ctx(), obs[t], obs_model, "lin", noise, dt, rng)
-            pf_mean = posterior_mean(pset).to_array()
+            pf_mean = pset.weights @ pset.states
             kf_std = np.sqrt(np.diag(kf_covs[t]))
             devs.append(np.abs(pf_mean - kf_means[t]) / kf_std)
         assert float(np.mean(devs)) < 0.10

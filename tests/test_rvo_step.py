@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from crowdtrack import AgentBody, RvoParams, crowd_step, kernels, rvo_step, step_all
-from crowdtrack.rvo import MIN_MAX_SPEED
+from crowdtrack import AgentBody, RvoParams, crowd_step, kernels, rvo_step
+from crowdtrack.rvo import MAX_RADIUS, MIN_MAX_SPEED
 
 
 PARAMS = RvoParams(time_horizon_tau=2.0, dt=0.1, neighbor_radius=10.0)
@@ -63,12 +63,11 @@ class TestRvoStep:
         assert np.allclose(va, -vb, atol=1e-12)
         assert abs(va[1]) > 1e-3
 
-        agents = [a, b]
-        desires = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
+        rows = np.array([[-2.0, 0.0, 1.0, 0.0, 1.0, 0.0], [2.0, 0.0, -1.0, 0.0, -1.0, 0.0]])
         min_dist = np.inf
         for _ in range(100):
-            agents = step_all(agents, desires, PARAMS)
-            gap = np.linalg.norm(agents[0].position - agents[1].position)
+            rows = crowd_step(rows, [0.4, 0.4], [2.0, 2.0], PARAMS)
+            gap = np.linalg.norm(rows[0, 0:2] - rows[1, 0:2])
             min_dist = min(min_dist, gap)
         assert min_dist >= 0.8 - 1e-6
 
@@ -77,20 +76,19 @@ class TestRvoStep:
         # the exactly-symmetric deadlock manifold.
         radius = 0.25
         angles = [np.pi / 2 * k + 0.01 * (k + 1) for k in range(4)]
-        agents = [AgentBody(3.0 * np.array([np.cos(a), np.sin(a)]), np.zeros(2),
-                            radius=radius, max_speed=1.5) for a in angles]
-        goals = [-agent.position for agent in agents]
+        rows = np.zeros((4, 6))
+        rows[:, 0:2] = [3.0 * np.array([np.cos(a), np.sin(a)]) for a in angles]
+        goals = -rows[:, 0:2]
         min_dist = np.inf
         for _ in range(100):
-            desires = []
-            for agent, goal in zip(agents, goals):
-                to_goal = goal - agent.position
+            for row, goal in zip(rows, goals):
+                to_goal = goal - row[0:2]
                 d = np.linalg.norm(to_goal)
-                desires.append(to_goal / d * min(1.0, d / PARAMS.dt) if d > 1e-9 else np.zeros(2))
-            agents = step_all(agents, desires, PARAMS)
+                row[4:6] = to_goal / d * min(1.0, d / PARAMS.dt) if d > 1e-9 else np.zeros(2)
+            rows = crowd_step(rows, [radius] * 4, [1.5] * 4, PARAMS)
             for i in range(4):
                 for j in range(i + 1, 4):
-                    gap = np.linalg.norm(agents[i].position - agents[j].position)
+                    gap = np.linalg.norm(rows[i, 0:2] - rows[j, 0:2])
                     min_dist = min(min_dist, gap)
         assert min_dist >= 2 * radius - 1e-6
 
@@ -149,21 +147,14 @@ class TestRvoStep:
         v = rvo_step(0, [a, far], [1.5, 0.0], PARAMS)
         assert np.allclose(v, [1.5, 0.0])
 
-    def test_crowd_step_matches_step_all_and_stays_mirrored(self):
-        agents = [AgentBody([-2.0, 0.0], [1.0, 0.0], radius=0.4, max_speed=2.0),
-                  AgentBody([2.0, 0.0], [-1.0, 0.0], radius=0.4, max_speed=2.0)]
-        desires = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
+    def test_crowd_step_keeps_its_input_and_stays_mirrored(self):
         rows = np.array([[-2.0, 0.0, 1.0, 0.0, 1.0, 0.0], [2.0, 0.0, -1.0, 0.0, -1.0, 0.0]])
         before = rows.copy()
         stepped = crowd_step(rows, [0.4, 0.4], [2.0, 2.0], PARAMS)
         assert np.array_equal(rows, before)
         assert np.array_equal(stepped[:, 4:6], before[:, 4:6])
         for _ in range(40):
-            agents = step_all(agents, desires, PARAMS)
             rows = crowd_step(rows, [0.4, 0.4], [2.0, 2.0], PARAMS)
-            for agent, row in zip(agents, rows):
-                assert np.array_equal(agent.position, row[0:2])
-                assert np.array_equal(agent.velocity, row[2:4])
             assert np.array_equal(rows[0], -rows[1])
         assert abs(rows[0, 1]) > 1e-3
 
@@ -185,6 +176,14 @@ class TestRvoStep:
         body[field][1] = bad
         with pytest.raises(ValueError, match=f"^{field} must"):
             crowd_step(rows, body["radius"], body["max_speed"], PARAMS)
+
+    def test_radius_is_at_most_max_radius(self):
+        # At 1e200 m the squared radius sum overflows, outside the kernel's input domain.
+        rows = np.array([[-1.0, 0.0, 1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0, -1.0, 0.0]])
+        with pytest.raises(ValueError, match="^radius must"):
+            crowd_step(rows, [0.2, 1e200], [1.5, 1.5], PARAMS)
+        stepped = crowd_step(rows, [MAX_RADIUS, MAX_RADIUS], [1.5, 1.5], PARAMS)
+        assert np.isfinite(stepped).all()
 
     def test_negative_bodies_are_rejected(self):
         # Negative radii and speed limits used to return velocities (0.5 m/s here).
