@@ -12,6 +12,8 @@ Exit codes: 0 success, 2 configuration error, 3 no eligible trials,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -28,6 +30,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_TRIALS = 3
 EXIT_IO = 4
+
+# glibc's mallopt parameters (malloc.h) and the values `_keep_freed_heap` sets:
+# the mmap threshold at glibc's 64-bit maximum, the trim threshold above it.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD_BYTES = 64 << 20
+_MMAP_THRESHOLD_BYTES = 32 << 20
 
 
 @dataclass
@@ -343,7 +352,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_freed_heap():
+    """Let the C heap keep freed memory for the next allocation; once per process.
+
+    A dense `predict` frees about 1 MB of kernel temporaries per kernel call.
+    At glibc's default 128 KiB trim threshold the heap hands them back to the
+    system and faults them in again on the next call: tens of thousands of
+    minor faults per command.  Setting the trim threshold also fixes the mmap
+    threshold, which would otherwise stay at 128 KiB and map every larger
+    array afresh, so both are raised.  Returns mallopt's two results (1 on
+    success), or None where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES),
+            mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES))
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = RunConfig()

@@ -285,13 +285,21 @@ def write_trajectories(scenario: Scenario, path):
         fh.write(buf.getvalue())
 
 
-def _goal_desired_velocity(position, goal, dt):
-    to_goal = goal - position
-    dist = float(np.linalg.norm(to_goal))
-    if dist < 1e-12:
-        return np.zeros(2)
-    speed = min(PREF_SPEED, dist / dt)
-    return to_goal / dist * speed
+def _goal_desired_velocities(positions, goals, dt):
+    """Desired velocities (n, 2) from ``positions`` toward ``goals``, both (n, 2).
+
+    Each row heads for its goal at `PREF_SPEED`, slowed to reach it in one
+    step of ``dt``, and is 0 within 1e-12 m of it.  A row's distance is the
+    (1, 2) @ (2, 1) product numpy computes as the 1-D dot, so it has the bits
+    of ``np.linalg.norm(goal - position)``; a sum of squares may round
+    differently.
+    """
+    to_goal = goals - positions
+    dist = np.sqrt(np.matmul(to_goal[:, None, :], to_goal[:, :, None])[:, :, 0])
+    safe = np.maximum(dist, 1e-12)  # equals dist on every row that is kept
+    vel = to_goal / safe * np.minimum(PREF_SPEED, safe / dt)
+    vel[dist[:, 0] < 1e-12] = 0.0
+    return vel
 
 
 def simulate_goal_driven(starts, goals, steps: int, dt: float,
@@ -319,19 +327,18 @@ def simulate_goal_driven(starts, goals, steps: int, dt: float,
     n = len(starts)
     if len(goals) != n:
         raise ValueError("need one goal per start")
+    goals = np.array(goals).reshape(n, 2)
     radii = np.full(n, body.radius)
     max_speeds = np.full(n, body.max_speed)
     states = np.zeros((n, 6))
-    for i, (start, goal) in enumerate(zip(starts, goals)):
-        states[i, 0:2] = start
-        states[i, 4:6] = _goal_desired_velocity(start, goal, sim_dt)
+    states[:, 0:2] = np.array(starts).reshape(n, 2)
+    states[:, 4:6] = _goal_desired_velocities(states[:, 0:2], goals, sim_dt)
     out = np.empty((steps + 1, n, 2))
     out[0] = states[:, 0:2]
     for t in range(steps):
         for _ in range(substeps):
             if not fixed_desired:
-                for i, goal in enumerate(goals):
-                    states[i, 4:6] = _goal_desired_velocity(states[i, 0:2], goal, sim_dt)
+                states[:, 4:6] = _goal_desired_velocities(states[:, 0:2], goals, sim_dt)
             states = crowd_step(states, radii, max_speeds, params)
         out[t + 1] = states[:, 0:2]
     return out

@@ -2,14 +2,17 @@
 
 The scalar kernels take Python floats, with half-planes and neighbours in
 nested lists indexed ``[i][0]``, one agent (one particle row) at a time.
-:func:`rvo_velocity_batch` is the entry point the program calls, and it
-converts arrays and numbers to these types once, where they enter: numpy
-scalars give the same IEEE results at several times the cost per operation.
-Batches of at least :data:`BATCH_MIN_ROWS` rows run
+Their callers convert arrays and numbers to these types once, where they
+enter: numpy scalars give the same IEEE results at several times the cost
+per operation.  :func:`rvo_velocity_batch` is the filters' entry point:
+batches of at least :data:`BATCH_MIN_ROWS` rows run
 :func:`rvo_velocity_rows`, which does the same floating-point operations
 elementwise over (rows, neighbours) numpy arrays and so returns bitwise the
-same velocities; smaller batches, such as the scenario generator's and the
-rollout's single rows, run the scalar :func:`rvo_velocity` per row.
+same velocities; smaller filter batches run the scalar :func:`rvo_velocity`
+per row.  A crowd step (:func:`crowdtrack.rvo.crowd_step`, the scenario
+generator's and the rollout's one row per agent) converts the crowd once and
+calls :func:`rvo_velocity` directly, with the arguments
+:func:`rvo_velocity_batch` would pass it.
 
 Input domain: finite inputs whose lengths, speeds and radii are 0 or have
 magnitudes whose squares stay normal floats, for example within [1e-100, 1e100].
@@ -360,7 +363,9 @@ def rvo_velocity_batch(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
     State layout per row: [px, py, vx, vy, des_x, des_y].  Fills ``out_vel``
     (M, 2) in place.  Calls with at least :data:`BATCH_MIN_ROWS` rows run
     :func:`rvo_velocity_rows`; smaller ones run :func:`rvo_velocity` per row,
-    on Python floats and lists.  Both give bitwise the same velocities.
+    on Python floats and lists.  Both give bitwise the same velocities.  The
+    filters call this; `crowdtrack.rvo.crowd_step` calls :func:`rvo_velocity`
+    itself.
     """
     if states.shape[0] >= BATCH_MIN_ROWS:
         rvo_velocity_rows(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,

@@ -6,7 +6,9 @@ horizon forms a truncated cone in velocity space; sharing the avoidance
 effort equally gives each agent one permitted half-plane per neighbor, and
 the new velocity is the feasible point closest to the agent's desired
 velocity.  The geometry is in :mod:`crowdtrack.kernels`; this module checks
-inputs and calls it for state rows (:func:`crowd_step`).
+inputs and calls it for state rows (:func:`crowd_step`): the crowd becomes
+Python lists once per step, and each agent's velocity is one call of the
+scalar :func:`crowdtrack.kernels.rvo_velocity`.
 """
 
 from __future__ import annotations
@@ -91,19 +93,26 @@ def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
     n = states.shape[0]
     if states.shape != (n, 6) or radii.shape != (n,) or max_speeds.shape != (n,):
         raise ValueError("states must have shape (n, 6), radii and max_speeds shape (n,)")
-    for radius, max_speed in zip(radii.tolist(), max_speeds.tolist()):
+    rads = radii.tolist()
+    speeds = max_speeds.tolist()
+    for radius, max_speed in zip(rads, speeds):
         check_body(radius, max_speed)
-    new_vel = np.empty((n, 2))
-    for i in range(n):
-        others = np.arange(n) != i
-        kernels.rvo_velocity_batch(
-            states[i:i + 1], radii[i], max_speeds[i],
-            states[others, 0:2], states[others, 2:4], radii[others],
-            params.time_horizon_tau, params.dt, params.neighbor_radius, new_vel[i:i + 1])
-    out = states.copy()
-    out[:, 0:2] = states[:, 0:2] + new_vel * params.dt
-    out[:, 2:4] = new_vel
-    return out
+    # One conversion per call; each row then calls the scalar kernel on Python
+    # floats and lists, with the arguments `kernels.rvo_velocity_batch` passes it.
+    rows = states.tolist()
+    pos = [row[0:2] for row in rows]
+    vel = [row[2:4] for row in rows]
+    tau = float(params.time_horizon_tau)
+    dt = float(params.dt)
+    cutoff = float(params.neighbor_radius)
+    out = []
+    for i, (px, py, vx, vy, des_x, des_y) in enumerate(rows):
+        _, vx, vy = kernels.rvo_velocity(
+            px, py, vx, vy, des_x, des_y, rads[i], speeds[i],
+            pos[:i] + pos[i + 1:], vel[:i] + vel[i + 1:], rads[:i] + rads[i + 1:],
+            tau, dt, cutoff)
+        out.append([px + vx * dt, py + vy * dt, vx, vy, des_x, des_y])
+    return np.array(out, dtype=np.float64).reshape(n, 6)
 
 
 # Only tests call this; it stays while perfbench's tracer wraps `rvo.rvo_step` by name.

@@ -4,12 +4,14 @@ These deliberately avoid the library's incremental algorithms: containment
 is checked by dense time sampling, boundary projection by dense grids over
 the cone pieces, and the constrained velocity choice by dense polar sampling
 of the feasible set plus golden-section refinement.  The filters' j-step
-prediction is checked against the plain per-block, per-hop loop, and the
-mixture weights against the per-block code they were first written as.
+prediction is checked against the plain per-block, per-hop loop, the
+mixture weights against the per-block code they were first written as, and
+the crowd step against its masked-array loop over `rvo_velocity_batch`.
 """
 
 import numpy as np
 
+from crowdtrack import kernels
 from crowdtrack.filters import LOG_UNDERFLOW, predict_blocks
 from crowdtrack.motion import predict_mean_batch, sample_transition_batch
 
@@ -283,3 +285,23 @@ def mixture_update_per_block(history, obs, obs_model, cfg, model, noise, dt, rng
                                      for lam, logw in zip(lambdas, block_logw)])
     pooled_weights /= pooled_weights.sum()
     return pooled_states, pooled_weights, lambdas, log_scores, flagged
+
+
+def crowd_step_oracle(states, radii, max_speeds, params):
+    """`crowd_step` as a loop over agents: one `kernels.rvo_velocity_batch` call on
+    each 1-row slice, with the other rows' masked arrays as its neighbours."""
+    states = np.asarray(states, dtype=np.float64)
+    radii = np.asarray(radii, dtype=np.float64)
+    max_speeds = np.asarray(max_speeds, dtype=np.float64)
+    n = states.shape[0]
+    new_vel = np.empty((n, 2))
+    for i in range(n):
+        others = np.arange(n) != i
+        kernels.rvo_velocity_batch(
+            states[i:i + 1], radii[i], max_speeds[i],
+            states[others, 0:2], states[others, 2:4], radii[others],
+            params.time_horizon_tau, params.dt, params.neighbor_radius, new_vel[i:i + 1])
+    out = states.copy()
+    out[:, 0:2] = states[:, 0:2] + new_vel * params.dt
+    out[:, 2:4] = new_vel
+    return out

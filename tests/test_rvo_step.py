@@ -1,10 +1,14 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdtrack import AgentBody, RvoParams, crowd_step, kernels, rvo_step
 from crowdtrack.rvo import MAX_RADIUS, MIN_MAX_SPEED
+from helpers import crowd_step_oracle
 
 
 PARAMS = RvoParams(time_horizon_tau=2.0, dt=0.1, neighbor_radius=10.0)
@@ -229,3 +233,48 @@ def test_rvo_velocity_batch_is_bitwise_pinned():
     feasible = [kernels.rvo_velocity(*row, *args)[0] for row in states]
     assert 0 < feasible.count(False) < len(feasible)  # some rows take the lp3 fallback
     assert hashlib.sha256(out.tobytes()).hexdigest() == KERNEL_PIN
+
+
+@st.composite
+def crowds(draw):
+    """A crowd of 1-9 state rows, their radii and speed limits, and RvoParams.
+
+    Positions, velocities and desires lie on a grid of 1/8 and the radii, tau
+    and dt are powers of two or sums of them, so exact cases happen.  Each row
+    after the first may sit on top of an earlier row, or 1/8 m from it, which
+    overlaps any two radii.  Positions spread over 6 m, so a cutoff of 1 or 3 m
+    leaves some neighbours out of range.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 9))
+    pos = rng.integers(-24, 25, (n, 2)) / 8.0
+    for i in range(1, n):
+        j, how = rng.integers(0, i), rng.integers(0, 4)  # free twice, coincident, overlapping
+        if how == 2:
+            pos[i] = pos[j]
+        elif how == 3:
+            pos[i] = pos[j] + [0.125, 0.0]
+    states = np.column_stack([pos, rng.integers(-12, 13, (n, 2)) / 8.0,
+                              rng.integers(-16, 17, (n, 2)) / 8.0])
+    radii = rng.choice([0.125, 0.25, 0.375], n)
+    max_speeds = rng.choice([0.5, 1.5, 2.5], n)
+    params = RvoParams(time_horizon_tau=draw(st.sampled_from([0.5, 2.0])),
+                       dt=draw(st.sampled_from([0.1, 0.25, 0.4])),
+                       neighbor_radius=draw(st.sampled_from([1.0, 3.0, math.inf])))
+    return states, radii, max_speeds, params
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(crowd=crowds())
+def test_crowd_step_equals_its_batch_kernel_loop_and_keeps_speed_limits(crowd):
+    """`crowd_step` gives the bits of one `rvo_velocity_batch` call per row on
+    masked neighbour arrays, and every new velocity is within its row's speed
+    limit up to rounding (the generator's and rollout's rows, which no traced
+    benchmark run checks)."""
+    states, radii, max_speeds, params = crowd
+    out = crowd_step(states, radii, max_speeds, params)
+    expected = crowd_step_oracle(states, radii, max_speeds, params)
+    assert out.shape == expected.shape
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    speeds = np.hypot(out[:, 2], out[:, 3])
+    assert np.all(speeds <= max_speeds * (1.0 + 1e-12))
