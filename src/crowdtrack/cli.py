@@ -31,12 +31,9 @@ EXIT_CONFIG = 2
 EXIT_NO_TRIALS = 3
 EXIT_IO = 4
 
-# glibc's mallopt parameters (malloc.h) and the values `_keep_freed_heap` sets:
-# the mmap threshold at glibc's 64-bit maximum, the trim threshold above it.
+# glibc's mallopt parameter numbers (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_TRIM_THRESHOLD_BYTES = 64 << 20
-_MMAP_THRESHOLD_BYTES = 32 << 20
 
 
 @dataclass
@@ -369,8 +366,8 @@ def _keep_freed_heap():
     except (AttributeError, OSError, TypeError):
         return None
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES),
-            mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES))
+    # 32 MiB is glibc's largest mmap threshold on 64-bit systems.
+    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 64 << 20))
 
 
 def main(argv=None) -> int:
