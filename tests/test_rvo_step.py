@@ -239,8 +239,8 @@ def test_rvo_velocity_batch_is_bitwise_pinned():
 def crowds(draw):
     """A crowd of 1-9 state rows, their radii and speed limits, and RvoParams.
 
-    Positions, velocities and desires lie on a grid of 1/8 and the radii, tau
-    and dt are powers of two or sums of them, so exact cases happen.  Each row
+    Positions, velocities and desires lie on a grid of 1/8 and the radii and
+    tau are powers of two or sums of two, so exact cases happen.  Each row
     after the first may sit on top of an earlier row, or 1/8 m from it, which
     overlaps any two radii.  Positions spread over 6 m, so a cutoff of 1 or 3 m
     leaves some neighbours out of range.
