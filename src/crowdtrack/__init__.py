@@ -1,6 +1,6 @@
 """Crowd motion model, per-agent particle filters and tracking benchmarks."""
 
-from .rvo import AgentBody, RvoParams, crowd_step, rvo_step
+from .rvo import RvoParams, crowd_step
 from .motion import BodySpec, CrowdContext, NoiseSpec, resolve_model
 from .filters import (FilterHistory, HpfConfig, InsufficientHistory,
                       ParticleSet, hpf_step, pf_step, resample)

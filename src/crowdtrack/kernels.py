@@ -4,23 +4,25 @@ The scalar kernels take Python floats, with half-planes and neighbours in
 nested lists indexed ``[i][0]``, one agent (one particle row) at a time.
 Their callers convert arrays and numbers to these types once, where they
 enter: numpy scalars give the same IEEE results at several times the cost
-per operation.  :func:`rvo_velocity_batch` is the filters' entry point:
-batches of at least :data:`BATCH_MIN_ROWS` rows run
-:func:`rvo_velocity_rows`, which does the same floating-point operations
-elementwise over (rows, neighbours) numpy arrays and so returns bitwise the
-same velocities; smaller filter batches run the scalar :func:`rvo_velocity`
-per row.  A crowd step (:func:`crowdtrack.rvo.crowd_step`, the scenario
-generator's and the rollout's one row per agent) converts the crowd once and
-calls :func:`rvo_velocity` directly, with the arguments
-:func:`rvo_velocity_batch` would pass it.
+per operation.  There is one path per caller.  A filter's particle batch
+takes :func:`rvo_velocity_batch`, the row kernel: the same floating-point
+operations as :func:`rvo_velocity`, elementwise over (rows, neighbours)
+numpy arrays, so bitwise the same velocities at any batch size.  A crowd
+step (:func:`crowdtrack.rvo.crowd_step`, the scenario generator's and the
+rollout's one row per agent) converts the crowd once and calls the scalar
+:func:`rvo_velocity` per agent, as the row kernel calls the scalar
+:func:`lp3` on its infeasible rows.
 
 Input domain: finite inputs whose lengths, speeds and radii are 0 or have
 magnitudes whose squares stay normal floats, for example within [1e-100, 1e100].
 Inside it every returned velocity is finite and lies within ``max_speed`` up to
 rounding (relative 1e-12), the least-violation fallback included.  Outside it
-both paths still agree bit for bit, but squares overflow or underflow and a
-velocity may be nan or too fast.  Inputs are not validated here: the callers
-in :mod:`crowdtrack.rvo` and :mod:`crowdtrack.motion` check them.
+both kernels still agree bit for bit, but squares overflow or underflow and a
+velocity may be nan or too fast.  Inputs are not validated here.
+:func:`crowdtrack.rvo.check_body` checks radii and speed limits; no one
+checks state rows, which are finite where they come from: the generator's
+from :func:`crowdtrack.rvo.as_vec`, the tracker's neighbour rows from
+``JointTracker._publish``, which rejects a non-finite mean.
 
 Conventions
 -----------
@@ -39,13 +41,6 @@ import numpy as np
 
 # Tolerance for parallel-direction determinants in the linear programs.
 _EPS = 1e-10
-
-#: Batches with fewer rows run the scalar kernel row by row, where numpy's
-#: per-call overhead makes the vectorised path the slower one.  Mean of six
-#: random batches, scalar vs vectorised (numpy 2.4, Python 3.11, x86-64):
-#: 2 neighbours, 40 rows 283 vs 314 us and 48 rows 369 vs 339 us; 7 neighbours,
-#: 48 rows 1.19 vs 1.41 ms and 56 rows 1.62 vs 1.60 ms; 1 row 7.5 vs 240 us.
-BATCH_MIN_ROWS = 48
 
 
 def vo_closest_boundary(rel_px, rel_py, radius_sum, tau, vx, vy):
@@ -356,27 +351,6 @@ def rvo_velocity(px, py, vx, vy, des_x, des_y, radius, max_speed,
     return solve_velocity_kernel(points, normals, max_speed, des_x, des_y)
 
 
-def rvo_velocity_batch(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
-                       tau, dt, neighbor_radius, out_vel):
-    """RVO velocity for a batch of particle states (M, 6) sharing one neighbor set.
-
-    State layout per row: [px, py, vx, vy, des_x, des_y].  Fills ``out_vel``
-    (M, 2) in place.  Calls with at least :data:`BATCH_MIN_ROWS` rows run
-    :func:`rvo_velocity_rows`; smaller ones run :func:`rvo_velocity` per row,
-    on Python floats and lists.  Both give bitwise the same velocities.  The
-    filters call this; `crowdtrack.rvo.crowd_step` calls :func:`rvo_velocity`
-    itself.
-    """
-    if states.shape[0] >= BATCH_MIN_ROWS:
-        rvo_velocity_rows(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
-                          tau, dt, neighbor_radius, out_vel)
-        return
-    args = (float(radius), float(max_speed), nbr_pos.tolist(), nbr_vel.tolist(),
-            nbr_rad.tolist(), float(tau), float(dt), float(neighbor_radius))
-    for i, row in enumerate(states.tolist()):
-        _, out_vel[i, 0], out_vel[i, 1] = rvo_velocity(*row, *args)
-
-
 # ---------------------------------------------------------------------------
 # Vectorised batch path.  Each function below is the elementwise twin of a
 # scalar kernel above: every ``if`` is an ``np.where`` or masked write on the
@@ -540,16 +514,20 @@ def _lp2_rows(px, py, nx, ny, in_range, radius, opt_x, opt_y):
     return fail, res_x, res_y
 
 
-def rvo_velocity_rows(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
-                      tau, dt, neighbor_radius, out_vel):
-    """Vectorised :func:`rvo_velocity_batch`, bitwise equal to the per-row kernel.
+def rvo_velocity_batch(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
+                       tau, dt, neighbor_radius, out_vel):
+    """RVO velocity for a batch of particle states (M, 6) sharing one neighbor set.
 
-    Builds every half-plane at once, for the neighbours in range of at least
-    one row, runs :func:`lp2` over all rows together and the scalar :func:`lp3`
-    on the rows whose program is infeasible, on their compacted constraints.
+    State layout per row: [px, py, vx, vy, des_x, des_y].  Fills ``out_vel``
+    (M, 2) in place, bitwise equal to :func:`rvo_velocity` per row.  Builds
+    every half-plane at once, for the neighbours in range of at least one row,
+    runs :func:`lp2` over all rows together and the scalar :func:`lp3` on the
+    rows whose program is infeasible, on their compacted constraints.
     Dropping a neighbour out of range for every row changes no bit: the LPs
     skip out-of-range slots, and lp3's start, the count of in-range slots
-    before the failing one, stays the same.
+    before the failing one, stays the same.  The filters run every particle
+    batch through this, whatever its size; `crowdtrack.rvo.crowd_step` calls
+    :func:`rvo_velocity` itself.
     """
     with np.errstate(all="ignore"):
         px, py, nx, ny, in_range = _halfplane_rows(states, radius, nbr_pos, nbr_vel,

@@ -6,9 +6,11 @@ horizon forms a truncated cone in velocity space; sharing the avoidance
 effort equally gives each agent one permitted half-plane per neighbor, and
 the new velocity is the feasible point closest to the agent's desired
 velocity.  The geometry is in :mod:`crowdtrack.kernels`; this module checks
-inputs and calls it for state rows (:func:`crowd_step`): the crowd becomes
-Python lists once per step, and each agent's velocity is one call of the
-scalar :func:`crowdtrack.kernels.rvo_velocity`.
+bodies and steps state rows [px, py, vx, vy, des_x, des_y] (:func:`crowd_step`):
+the crowd becomes Python lists once per step, and each agent's velocity is one
+call of the scalar :func:`crowdtrack.kernels.rvo_velocity`.  The filters'
+particle batches take the row kernel instead, through
+:mod:`crowdtrack.motion`.
 """
 
 from __future__ import annotations
@@ -45,21 +47,6 @@ def check_body(radius: float, max_speed: float):
         raise ValueError(f"radius must be > 0 and <= {MAX_RADIUS!r}")
     if not (MIN_MAX_SPEED <= max_speed < np.inf):
         raise ValueError(f"max_speed must be finite and >= {MIN_MAX_SPEED!r}")
-
-
-@dataclass(frozen=True)
-class AgentBody:
-    """Disc agent: position/velocity in meters and m/s, radius and max_speed as `check_body`."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    radius: float = 0.2
-    max_speed: float = 2.5
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", as_vec(self.position, "position"))
-        object.__setattr__(self, "velocity", as_vec(self.velocity, "velocity"))
-        check_body(self.radius, self.max_speed)
 
 
 @dataclass(frozen=True)
@@ -115,24 +102,8 @@ def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
     return np.array(out, dtype=np.float64).reshape(n, 6)
 
 
-# Only tests call this; it stays while perfbench's tracer wraps `rvo.rvo_step` by name.
-def rvo_step(self_idx: int, agents, v_desire, params: RvoParams) -> np.ndarray:
-    """New velocity for one agent given every agent's current body.
-
-    Builds one half-plane per neighbor within the neighbor radius (ascending
-    index order, self excluded) and picks the admissible velocity closest to
-    v_desire.  Overlapping neighbors contribute an emergency separation
-    constraint; an empty feasible region falls back to the least-violation
-    velocity.
-    """
-    if not agents:
-        raise ValueError("agents must be nonempty")
-    if not (0 <= self_idx < len(agents)):
-        raise ValueError(f"self_idx {self_idx} out of range")
-    desires = [as_vec(v_desire, "v_desire") if i == self_idx else a.velocity
-               for i, a in enumerate(agents)]
-    states = np.array([np.concatenate([a.position, a.velocity, desire])
-                       for a, desire in zip(agents, desires)])
-    radii = np.array([a.radius for a in agents])
-    max_speeds = np.array([a.max_speed for a in agents])
+# No program path calls this.  It stays only because perfbench's tracer wraps
+# `rvo.rvo_step` by name, and every `--trace 1` run fails without it.
+def rvo_step(self_idx: int, states, radii, max_speeds, params: RvoParams) -> np.ndarray:
+    """New velocity of row ``self_idx`` in one `crowd_step` of the state rows."""
     return crowd_step(states, radii, max_speeds, params)[self_idx, 2:4]

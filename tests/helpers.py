@@ -6,7 +6,7 @@ the cone pieces, and the constrained velocity choice by dense polar sampling
 of the feasible set plus golden-section refinement.  The filters' j-step
 prediction is checked against the plain per-block, per-hop loop, the
 mixture weights against the per-block code they were first written as, and
-the crowd step against its masked-array loop over `rvo_velocity_batch`.
+the scalar crowd step against its masked-array loop over the row kernel.
 """
 
 import numpy as np
@@ -289,7 +289,10 @@ def mixture_update_per_block(history, obs, obs_model, cfg, model, noise, dt, rng
 
 def crowd_step_oracle(states, radii, max_speeds, params):
     """`crowd_step` as a loop over agents: one `kernels.rvo_velocity_batch` call on
-    each 1-row slice, with the other rows' masked arrays as its neighbours."""
+    each 1-row slice, with the other rows' masked arrays as its neighbours.
+
+    `crowd_step` runs the scalar kernel and `rvo_velocity_batch` the row kernel,
+    so comparing the two pits one implementation against the other."""
     states = np.asarray(states, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
     max_speeds = np.asarray(max_speeds, dtype=np.float64)

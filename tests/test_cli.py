@@ -359,7 +359,7 @@ def test_main_keeps_freed_heap_once_per_process(monkeypatch):
 SETTING_KEYS = sorted(RUN_KEYS) + sorted(PROTOCOL_KEYS) + [GRID_PREFIX + k for k in sorted(PROTOCOL_KEYS)]
 
 
-@settings(max_examples=3000, deadline=None, derandomize=True)
+@settings(max_examples=3000)
 @given(key=st.sampled_from(SETTING_KEYS),
        value=st.text() | st.floats().map(repr) | st.integers().map(str))
 def test_any_setting_is_applied_or_rejected_as_config_error(key, value):
@@ -416,7 +416,7 @@ def trajectory_text(draw):
 
 
 @pytest.mark.filterwarnings("default:overflow encountered:RuntimeWarning")  # ROADMAP item 4
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(text=trajectory_text(), obs_noise=st.sampled_from([0.0, 0.1]))
 # A finite jump of 1e200 m: the filters' means overflow, which must exit 4.
 @example(text="frame,id,x,y\n0,0,0.0,0.0\n0,1,0.0,1.0\n0,2,0.0,0.0\n1,2,0.0,0.0\n"

@@ -15,8 +15,8 @@ from crowdtrack.bench import ProtocolConfig, run_tracking_protocol
 from crowdtrack.data import corrupt, make_scenario
 
 TAU, DT, CUTOFF = 2.0, 0.5, 3.0
-# Small batches, both sides of BATCH_MIN_ROWS, and a large one.
-ROW_COUNTS = (1, 15, 16, kernels.BATCH_MIN_ROWS - 1, kernels.BATCH_MIN_ROWS, 300)
+# Small batches and a large one.
+ROW_COUNTS = (1, 15, 16, 47, 48, 300)
 
 
 def _scalar(states, *args):
@@ -34,12 +34,11 @@ def _scalar(states, *args):
 
 
 def _assert_bitwise(states, *args):
-    """Both batch entry points equal the scalar kernel; returns its flags."""
+    """The row kernel equals the scalar kernel; returns the scalar kernel's flags."""
     expected, feasible = _scalar(states, *args)
-    for kernel in (kernels.rvo_velocity_batch, kernels.rvo_velocity_rows):
-        out = np.full((states.shape[0], 2), np.nan)
-        kernel(states, *args, out)
-        assert out.tobytes() == expected.tobytes(), kernel.__name__
+    out = np.full((states.shape[0], 2), np.nan)
+    kernels.rvo_velocity_batch(states, *args, out)
+    assert out.tobytes() == expected.tobytes()
     return feasible
 
 
@@ -70,7 +69,7 @@ def test_batch_equals_scalar_on_seeded_instances(rows, n):
 def test_lp3_starts_past_a_column_out_of_range_for_every_row():
     # Column 2 is beyond the cutoff for all 48 rows, and some rows' programs fail
     # at a later slot: lp3 starts at the count of in-range slots before it.
-    states, args = _random_instance(np.random.default_rng(3), kernels.BATCH_MIN_ROWS, 7)
+    states, args = _random_instance(np.random.default_rng(3), 48, 7)
     radius, max_speed, nbr_pos = args[:3]
     neighbours = [a.tolist() for a in args[2:5]]
     rel = nbr_pos[None] - states[:, None, :2]
@@ -139,7 +138,7 @@ def test_batch_equals_scalar_on_a_tracking_trial(monkeypatch):
     cfg = ProtocolConfig(hpf=HpfConfig(2, (0.91, 0.09), 200), noise=NoiseSpec(0.05, 0.1, 0.05),
                          sigma_obs=0.15)
     run_tracking_protocol(scenario, trace, "rvo+", "hpf", cfg, seed=2000)
-    assert sum(c[0].shape[0] >= kernels.BATCH_MIN_ROWS for c in calls) >= 100
+    assert len(calls) >= 100
     infeasible = 0
     for *args, out in calls:
         expected, feasible = _scalar(*args)
@@ -160,7 +159,7 @@ OVERSHOOT_NBRS = (np.array([[8.318181801591699, -0.19204898752695665],
                   np.full(2, 0.2))
 
 
-@pytest.mark.parametrize("rows", [1, 16, kernels.BATCH_MIN_ROWS])
+@pytest.mark.parametrize("rows", [1, 16, 48])
 def test_fallback_stays_within_max_speed(rows):
     states = np.array([OVERSHOOT_ROW] * rows)
     args = (0.2, 2.5, *OVERSHOOT_NBRS, 2.0, 0.4, 10.0)
@@ -172,7 +171,7 @@ def test_fallback_stays_within_max_speed(rows):
     assert np.all(speeds >= 2.5 * (1.0 - 1e-12))  # still on the disc boundary
 
 
-# The least-violation fallback on its own: rvo_velocity_rows hands its
+# The least-violation fallback on its own: rvo_velocity_batch hands its
 # infeasible rows to the scalar lp3, so the tests above compare lp3 with
 # itself.  lp3_rows.json holds lp3's inputs (each row's in-range constraints,
 # the index lp2 failed at and lp2's last iterate) from the README `predict`
@@ -230,8 +229,8 @@ def _equal_or_both_nan(a, b):
 
 @st.composite
 def kernel_batches(draw):
-    """A batch of at least BATCH_MIN_ROWS rows around 0-6 neighbours, its arguments,
-    and whether it lies in the kernel's stated input domain.
+    """A batch of 1-64 rows around 0-6 neighbours, its arguments, and whether it
+    lies in the kernel's stated input domain.
 
     Coordinates lie on a grid of 1/8 and tau, dt and the radii are powers of
     two, so the exact cases happen: a relative velocity at a cone's or an
@@ -250,7 +249,7 @@ def kernel_batches(draw):
     def grid(lim, shape):
         return rng.integers(-lim, lim + 1, shape) / 8.0
 
-    rows = kernels.BATCH_MIN_ROWS + draw(st.integers(0, 16))
+    rows = draw(st.integers(1, 64))
     tau, dt = draw(st.sampled_from([0.5, 2.0])), draw(st.sampled_from([0.25, 0.5]))
     if draw(st.booleans()):
         states = np.array(OVERSHOOT_ROW) + rng.uniform(-1e-6, 1e-6, (rows, 6))
@@ -294,7 +293,7 @@ def kernel_batches(draw):
                     cutoff * scale), in_domain
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(batch=kernel_batches())
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_scalar_kernel_equals_row_kernel_on_drawn_geometry(batch):
@@ -305,7 +304,7 @@ def test_scalar_kernel_equals_row_kernel_on_drawn_geometry(batch):
     states, args, in_domain = batch
     expected, _ = _scalar(states, *args)
     out = np.full((states.shape[0], 2), 42.0)
-    kernels.rvo_velocity_rows(states, *args, out)
+    kernels.rvo_velocity_batch(states, *args, out)
     assert np.all(_equal_or_both_nan(out, expected))
     if in_domain:
         assert np.all(np.isfinite(out))

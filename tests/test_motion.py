@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from crowdtrack import (AgentBody, BodySpec, CrowdContext, NoiseSpec,
-                        RvoParams, resolve_model, rvo_step)
+from crowdtrack import (BodySpec, CrowdContext, NoiseSpec, RvoParams,
+                        crowd_step, resolve_model)
 from crowdtrack.kernels import build_halfplanes
 from crowdtrack.motion import MODELS, predict_mean_batch, sample_transition_batch
 
@@ -70,9 +70,8 @@ class TestPredictMean:
         body = BodySpec(radius=0.3, max_speed=2.0)
         ctx = CrowdContext(others=[other], params=params, self_body=body)
         out = predict("rvo", me, ctx)
-        agents = [AgentBody(me[0:2], me[2:4], body.radius, body.max_speed),
-                  AgentBody(other[0:2], other[2:4], body.radius, body.max_speed)]
-        expect = rvo_step(0, agents, me[4:6], params)
+        expect = crowd_step(np.array([me, other]), [body.radius] * 2, [body.max_speed] * 2,
+                            params)[0, 2:4]
         assert np.allclose(out[2:4], expect, atol=1e-12)
         assert not np.allclose(out[2:4], me[4:6])
 

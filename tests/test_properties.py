@@ -1,13 +1,12 @@
 """Property-based checks for the small algebraic invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from crowdtrack import ParticleSet, resample
 
 
-@settings(deadline=None)
 @given(m=st.integers(min_value=1, max_value=64), seed=st.integers(0, 2**32 - 1))
 def test_uniform_resampling_is_a_permutation(m, seed):
     rng = np.random.default_rng(seed)
@@ -18,7 +17,6 @@ def test_uniform_resampling_is_a_permutation(m, seed):
     assert np.allclose(out.weights, 1.0 / m)
 
 
-@settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 40))
 def test_resampling_conserves_support(seed, m):
     rng = np.random.default_rng(seed)

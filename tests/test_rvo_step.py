@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdtrack import AgentBody, RvoParams, crowd_step, kernels, rvo_step
+from crowdtrack import RvoParams, crowd_step, kernels
 from crowdtrack.rvo import MAX_RADIUS, MIN_MAX_SPEED
 from helpers import crowd_step_oracle
 
@@ -49,25 +49,26 @@ class TestAdvance:
         assert np.allclose(twice[0:2], once[0:2], atol=1e-15)
 
 
+def velocities(rows, radii, max_speeds):
+    """New velocities of one `crowd_step` of the state rows."""
+    return crowd_step(rows, radii, max_speeds, PARAMS)[:, 2:4]
+
+
 class TestRvoStep:
     def test_single_agent_clamps_desired(self):
-        a = AgentBody([0.0, 0.0], [0.0, 0.0], max_speed=1.0)
-        v = rvo_step(0, [a], [3.0, 4.0], PARAMS)
+        v = velocities([[0.0, 0.0, 0.0, 0.0, 3.0, 4.0]], [0.2], [1.0])[0]
         assert np.allclose(v, [0.6, 0.8], atol=1e-12)
-        v2 = rvo_step(0, [a], [0.3, 0.1], PARAMS)
+        v2 = velocities([[0.0, 0.0, 0.0, 0.0, 0.3, 0.1]], [0.2], [1.0])[0]
         assert np.allclose(v2, [0.3, 0.1])
 
     def test_head_on_pair_symmetric_and_collision_free(self):
-        a = AgentBody([-2.0, 0.0], [1.0, 0.0], radius=0.4, max_speed=2.0)
-        b = AgentBody([2.0, 0.0], [-1.0, 0.0], radius=0.4, max_speed=2.0)
-        va = rvo_step(0, [a, b], [1.0, 0.0], PARAMS)
-        vb = rvo_step(1, [a, b], [-1.0, 0.0], PARAMS)
+        rows = np.array([[-2.0, 0.0, 1.0, 0.0, 1.0, 0.0], [2.0, 0.0, -1.0, 0.0, -1.0, 0.0]])
+        va, vb = velocities(rows, [0.4, 0.4], [2.0, 2.0])
         # The pair maps to itself under point reflection, so the velocities
         # mirror exactly and both must deviate laterally.
         assert np.allclose(va, -vb, atol=1e-12)
         assert abs(va[1]) > 1e-3
 
-        rows = np.array([[-2.0, 0.0, 1.0, 0.0, 1.0, 0.0], [2.0, 0.0, -1.0, 0.0, -1.0, 0.0]])
         min_dist = np.inf
         for _ in range(100):
             rows = crowd_step(rows, [0.4, 0.4], [2.0, 2.0], PARAMS)
@@ -104,51 +105,45 @@ class TestRvoStep:
             if min(np.linalg.norm(pos[0] - pos[1]), np.linalg.norm(pos[0] - pos[2]),
                    np.linalg.norm(pos[1] - pos[2])) < 0.9:
                 continue
-            agents = [AgentBody(pos[i], vel[i], radius=0.3) for i in range(3)]
-            desire = rng.uniform(-1, 1, 2)
-            v = rvo_step(0, agents, desire, PARAMS)
+            desire = np.vstack([rng.uniform(-1, 1, 2), vel[1:]])
+            v = velocities(np.hstack([pos, vel, desire]), [0.3] * 3, [2.5] * 3)[0]
             theta = rng.uniform(0, 2 * np.pi)
-            agents_r = [AgentBody(rotate(pos[i], theta), rotate(vel[i], theta), radius=0.3)
-                        for i in range(3)]
-            v_r = rvo_step(0, agents_r, rotate(desire, theta), PARAMS)
+            rotated = [[rotate(a[i], theta) for a in (pos, vel, desire)] for i in range(3)]
+            v_r = velocities(np.reshape(rotated, (3, 6)), [0.3] * 3, [2.5] * 3)[0]
             assert np.allclose(v_r, rotate(v, theta), atol=1e-9)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)
         pos = rng.uniform(-3, 3, (3, 2))
         vel = rng.uniform(-1, 1, (3, 2))
-        agents = [AgentBody(pos[i], vel[i], radius=0.25) for i in range(3)]
-        desire = np.array([0.8, -0.3])
-        v = rvo_step(0, agents, desire, PARAMS)
+        desire = np.vstack([[0.8, -0.3], vel[1:]])
+        v = velocities(np.hstack([pos, vel, desire]), [0.25] * 3, [2.5] * 3)[0]
         shift = np.array([12.3, -7.7])
-        agents_t = [AgentBody(pos[i] + shift, vel[i], radius=0.25) for i in range(3)]
-        v_t = rvo_step(0, agents_t, desire, PARAMS)
+        v_t = velocities(np.hstack([pos + shift, vel, desire]), [0.25] * 3, [2.5] * 3)[0]
         assert np.allclose(v_t, v, atol=1e-9)
 
     def test_determinism(self):
         rng = np.random.default_rng(8)
         pos = rng.uniform(-3, 3, (4, 2))
         vel = rng.uniform(-1, 1, (4, 2))
-        agents = [AgentBody(pos[i], vel[i], radius=0.2) for i in range(4)]
-        v1 = rvo_step(0, agents, [1.0, 0.0], PARAMS)
-        v2 = rvo_step(0, agents, [1.0, 0.0], PARAMS)
+        rows = np.hstack([pos, vel, vel])
+        rows[0, 4:6] = [1.0, 0.0]
+        v1 = velocities(rows, [0.2] * 4, [2.5] * 4)
+        v2 = velocities(rows, [0.2] * 4, [2.5] * 4)
         assert np.array_equal(v1, v2)
 
     def test_overlapping_agents_separate(self):
         # Tracking noise can put two hypotheses inside each other; the step
         # must produce a velocity that separates them within dt.
-        a = AgentBody([0.0, 0.0], [0.0, 0.0], radius=0.4, max_speed=2.0)
-        b = AgentBody([0.3, 0.0], [0.0, 0.0], radius=0.4, max_speed=2.0)
-        va = rvo_step(0, [a, b], [0.0, 0.0], PARAMS)
-        vb = rvo_step(1, [a, b], [0.0, 0.0], PARAMS)
-        gap_now = np.linalg.norm(b.position - a.position)
-        gap_next = np.linalg.norm((b.position + vb * PARAMS.dt) - (a.position + va * PARAMS.dt))
+        rows = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.3, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        stepped = crowd_step(rows, [0.4, 0.4], [2.0, 2.0], PARAMS)
+        gap_now = np.linalg.norm(rows[1, 0:2] - rows[0, 0:2])
+        gap_next = np.linalg.norm(stepped[1, 0:2] - stepped[0, 0:2])
         assert gap_next > gap_now
 
     def test_neighbor_radius_cull(self):
-        a = AgentBody([0.0, 0.0], [1.0, 0.0], max_speed=2.0)
-        far = AgentBody([50.0, 0.0], [-1.0, 0.0], max_speed=2.0)
-        v = rvo_step(0, [a, far], [1.5, 0.0], PARAMS)
+        rows = [[0.0, 0.0, 1.0, 0.0, 1.5, 0.0], [50.0, 0.0, -1.0, 0.0, -1.0, 0.0]]
+        v = velocities(rows, [0.2, 0.2], [2.0, 2.0])[0]
         assert np.allclose(v, [1.5, 0.0])
 
     def test_crowd_step_keeps_its_input_and_stays_mirrored(self):
@@ -163,14 +158,15 @@ class TestRvoStep:
         assert abs(rows[0, 1]) > 1e-3
 
     def test_body_limits_must_be_finite(self):
+        row = [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
         with pytest.raises(ValueError):
-            AgentBody([0.0, 0.0], [0.0, 0.0], radius=np.inf)
+            crowd_step(row, [np.inf], [2.5], PARAMS)
         with pytest.raises(ValueError):
-            AgentBody([0.0, 0.0], [0.0, 0.0], max_speed=np.inf)
+            crowd_step(row, [0.2], [np.inf], PARAMS)
         # Below about 1e-162 m/s the kernel's squared speed underflows, and this
         # body's desired velocity [2e-170, 0] came back unclamped.
         with pytest.raises(ValueError, match="^max_speed must"):
-            AgentBody([0.0, 0.0], [0.0, 0.0], radius=2.5e-171, max_speed=1.5e-170)
+            crowd_step([[0.0, 0.0, 0.0, 0.0, 2e-170, 0.0]], [2.5e-171], [1.5e-170], PARAMS)
 
     @pytest.mark.parametrize("bad", [-0.2, 0.0, np.inf, np.nan])
     @pytest.mark.parametrize("field", ["radius", "max_speed"])
@@ -197,16 +193,19 @@ class TestRvoStep:
 
     def test_speed_limit_at_the_floor_is_enforced(self):
         # A floor low enough for the squared speed to underflow fails here.
-        body = AgentBody([0.0, 0.0], [0.0, 0.0], radius=MIN_MAX_SPEED, max_speed=MIN_MAX_SPEED)
-        velocity = rvo_step(0, [body], [2 * MIN_MAX_SPEED, 0.0], PARAMS)
+        row = [[0.0, 0.0, 0.0, 0.0, 2 * MIN_MAX_SPEED, 0.0]]
+        velocity = velocities(row, [MIN_MAX_SPEED], [MIN_MAX_SPEED])[0]
         assert np.hypot(*velocity) <= MIN_MAX_SPEED * (1.0 + 1e-12)  # norm would underflow
 
-    def test_out_of_range_index(self):
-        a = AgentBody([0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            rvo_step(2, [a], [0.0, 0.0], PARAMS)
-        with pytest.raises(ValueError):
-            rvo_step(0, [], [0.0, 0.0], PARAMS)
+    def test_crowd_step_checks_its_shapes(self):
+        # One radius and one speed limit per row: a row without a body is an error.
+        rows = np.zeros((2, 6))
+        with pytest.raises(ValueError, match="^states must have shape"):
+            crowd_step(rows, [0.2], [2.5, 2.5], PARAMS)
+        with pytest.raises(ValueError, match="^states must have shape"):
+            crowd_step(rows, [0.2, 0.2], [2.5, 2.5, 2.5], PARAMS)
+        with pytest.raises(ValueError, match="^states must have shape"):
+            crowd_step(rows[:, :4], [0.2, 0.2], [2.5, 2.5], PARAMS)
 
 
 # SHA-256 of the velocities below, computed with the scalar kernels. A
@@ -264,7 +263,7 @@ def crowds(draw):
     return states, radii, max_speeds, params
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(crowd=crowds())
 def test_crowd_step_equals_its_batch_kernel_loop_and_keeps_speed_limits(crowd):
     """`crowd_step` gives the bits of one `rvo_velocity_batch` call per row on
