@@ -211,7 +211,7 @@ class JointTracker:
         """
         self._publish([
             hpf_step(history, history.context(1), observations.get(agent_id), self.obs_model,
-                     self.hpf, self.model, self.noise, self.params.dt, self.rng)[0]
+                     self.hpf, self.model, self.noise, self.rng)[0]
             for agent_id, history in zip(self.ids, self.histories)])
 
     def mean_position(self, agent_id: int) -> np.ndarray:

@@ -251,7 +251,10 @@ def _load_scenario(cfg: RunConfig, protocol: ProtocolConfig) -> Scenario:
         except OverlappingScenario as exc:
             raise ConfigError("seed", str(exc)) from None
         except ValueError as exc:
-            raise ConfigError("kind", str(exc)) from None
+            # The generator steps at rvo.dt / substeps: a clock out of range names
+            # its key by the message's first word, as in `configure`.
+            raise ConfigError("rvo.dt" if str(exc).startswith("dt ") else "kind",
+                              str(exc)) from None
     raise ConfigError("input", "either an input file or a scenario kind is required")
 
 

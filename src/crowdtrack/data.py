@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .motion import BodySpec
-from .rvo import RvoParams, as_vec, crowd_step
+from .rvo import RvoParams, as_vec, check_time, crowd_step
 
 #: Preferred walking speed of generated agents (m/s), recorded in each scenario's meta.
 PREF_SPEED = 1.3
@@ -53,7 +53,8 @@ class OverlappingScenario(ValueError):
 
 
 class NonFiniteMotion(ValueError):
-    """A dt, 1/dt, position or frame-to-frame displacement / dt is not finite."""
+    """A dt outside `rvo.check_time`'s range, or a position or frame-to-frame
+    displacement / dt that is not finite."""
 
 
 @dataclass
@@ -228,13 +229,15 @@ def _parse_obsmat(text: str, name: str) -> Scenario:
 
 
 def _check_finite_motion(dt: float, frames: Sequence[Tuple[int, Dict[int, np.ndarray]]]):
-    """Raise NonFiniteMotion on a dt or 1/dt that is not finite, a non-finite
+    """Raise NonFiniteMotion on a dt that `rvo.check_time` rejects, a non-finite
     position, or a non-finite displacement / dt between consecutive frames.
 
     ``frames`` holds (frame time index, {agent id: position}) pairs in order.
     """
-    if not (np.isfinite(dt) and np.isfinite(1.0 / dt)):
-        raise NonFiniteMotion(f"dt must be finite with a finite reciprocal, got {dt}")
+    try:
+        check_time("dt", dt)
+    except ValueError as exc:
+        raise NonFiniteMotion(str(exc)) from None
     before, previous = None, {}
     with np.errstate(over="ignore"):
         for time_index, positions in frames:
@@ -253,8 +256,9 @@ def _check_finite_motion(dt: float, frames: Sequence[Tuple[int, Dict[int, np.nda
 def parse_trajectories(path, fmt: str = "csv-fixy") -> Scenario:
     """Load a trajectory file into a canonical Scenario.
 
-    Raises ``ValueError`` on malformed rows, and `NonFiniteMotion` on a dt or
-    a frame-to-frame velocity that is not finite.
+    Raises ``ValueError`` on malformed rows, and `NonFiniteMotion` on a dt
+    outside `rvo.check_time`'s range or a frame-to-frame velocity that is not
+    finite.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -321,7 +325,10 @@ def simulate_goal_driven(starts, goals, steps: int, dt: float,
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     sim_dt = dt / substeps
-    params = RvoParams(dt=sim_dt)
+    try:
+        params = RvoParams(dt=sim_dt)
+    except ValueError as exc:
+        raise ValueError(f"dt / {substeps} substeps: {exc}") from None
     starts = [as_vec(s, "start") for s in starts]
     goals = [as_vec(g, "goal") for g in goals]
     n = len(starts)

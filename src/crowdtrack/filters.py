@@ -9,8 +9,9 @@ likelihood of the current observation under that block, so blocks that
 explain the observation better dominate.  All weight arithmetic happens in
 log space.
 
-A step draws K(K+1)/2 transitions with one motion-mean call per stored context,
-reusing the one-hop means block 1 computed earlier: at K=2, one call of 2M rows.
+A step draws K(K+1)/2 transitions, each at its stored context's ``params.dt``, with
+one motion-mean call per stored context, reusing the one-hop means block 1 computed
+earlier: at K=2, one call of 2M rows.
 """
 
 from __future__ import annotations
@@ -99,19 +100,19 @@ class HpfConfig:
 
 
 class FilterHistory:
-    """Ring buffer of the last K posteriors and their aligned crowd contexts.
+    """Ring buffer of the last ``order_k`` posteriors and their aligned crowd contexts.
 
     Entry j=1 is the newest (time t-1), j=len(history) the oldest.  The context
     stored with a posterior describes the other agents at that same time, so
-    propagating from t-j to t-j+1 uses the context stored at t-j.  Entries memoize
-    one-hop means (`predict_blocks`), so pushed posteriors and contexts must stay unchanged.
+    propagating from t-j to t-j+1 uses the context stored at t-j, and its clock.
+    Entries memoize one-hop means (`predict_blocks`) until a push drops them, so
+    pushed posteriors and contexts must stay unchanged.
     """
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries = deque(maxlen=capacity)
+    def __init__(self, order_k: int):
+        if order_k < 1:
+            raise ValueError("order_k must be >= 1")
+        self._entries = deque(maxlen=order_k)
 
     def push(self, posterior: ParticleSet, ctx: CrowdContext):
         self._entries.append((posterior, ctx, {}))
@@ -126,7 +127,7 @@ class FilterHistory:
         return self._entry(j)[1]
 
     def _entry(self, j: int):
-        """Entry j: (posterior, context, {(model, dt): one-hop mean velocities (M, 2)})."""
+        """Entry j: (posterior, context, {model: one-hop mean velocities (M, 2)})."""
         if not (1 <= j <= len(self._entries)):
             raise InsufficientHistory(f"requested {j} steps back, have {len(self._entries)}")
         return self._entries[-j]
@@ -159,37 +160,35 @@ def resample(pooled: ParticleSet, m: int, rng: np.random.Generator) -> ParticleS
 
 
 def predict_blocks(history: FilterHistory, k: int, model: str, noise: NoiseSpec,
-                   dt: float, rng: np.random.Generator) -> np.ndarray:
-    """The k predicted blocks, (k, M, 6): block j is posterior(j) through j transitions.
+                   rng: np.random.Generator) -> np.ndarray:
+    """The k predicted blocks, (k, M, 6): block j is posterior(j) through j transitions,
+    each hop stepping at the ``params.dt`` of the context it propagates with.
 
     Normals are drawn first, in a per-block loop's order; then one
     `predict_mean_batch` call per level ``back`` = k..1 covers all hops from
     context ``back``; block ``back``'s first hop is read from entry ``back``'s memo,
-    or computed and kept there unless the next push drops that entry."""
+    or computed and kept there until the entry leaves the history."""
     m = history.posterior(k).size
     eps = rng.standard_normal((k * (k + 1) // 2, m, STATE_DIM))
-    key, later = (model, dt), None  # later: blocks back+1..k after their hops so far
+    later = None  # blocks back+1..k after their hops so far
     for back in range(k, 0, -1):
         source, ctx, memo = history._entry(back)
-        last = back == history.capacity  # the entry leaves at the next push
-        first = memo.pop(key, None) if last else memo.get(key)
+        first = memo.get(model)
         if first is None:
             rows = source.states if later is None else np.concatenate((source.states, later))
-            means = predict_mean_batch(model, rows, ctx, dt)
-            if not last:
-                memo[key] = means[:m, 2:4].copy()
+            means = predict_mean_batch(model, rows, ctx)
+            memo[model] = means[:m, 2:4].copy()
         else:
-            means = step_mean(source.states, first, dt)
+            means = step_mean(source.states, first, ctx.params.dt)
             if later is not None:
-                means = np.concatenate((means, predict_mean_batch(model, later, ctx, dt)))
+                means = np.concatenate((means, predict_mean_batch(model, later, ctx)))
         picks = [j * (j - 1) // 2 + j - back for j in range(back, k + 1)]
         later = sample_transition_batch(means, eps[picks].reshape(-1, STATE_DIM), noise)
     return later.reshape(k, m, STATE_DIM)
 
 
 def mixture_update(history: FilterHistory, obs, obs_model: ObservationModel,
-                   cfg: HpfConfig, model: str, noise: NoiseSpec, dt: float,
-                   rng: np.random.Generator):
+                   cfg: HpfConfig, model: str, noise: NoiseSpec, rng: np.random.Generator):
     """Shared core of `hpf_step`: blocks, mixture weights and the pooled set.
 
     Returns (pooled_states, pooled_weights, lambdas, log_block_scores,
@@ -203,7 +202,7 @@ def mixture_update(history: FilterHistory, obs, obs_model: ObservationModel,
     pi = np.asarray(cfg.pi[:k_eff], dtype=np.float64)
     pi = pi / pi.sum()
 
-    blocks = predict_blocks(history, k_eff, model, noise, dt, rng)
+    blocks = predict_blocks(history, k_eff, model, noise, rng)
     loglik = np.array([obs_model.log_likelihood(obs, b) for b in blocks], dtype=np.float64)
     weights = np.array([history.posterior(j).weights for j in range(1, k_eff + 1)])
     log_w = np.where(weights > 0.0, np.log(np.maximum(weights, 1e-300)), -np.inf)
@@ -226,12 +225,11 @@ def mixture_update(history: FilterHistory, obs, obs_model: ObservationModel,
 
 
 def hpf_step(history: FilterHistory, ctx: CrowdContext, obs, obs_model: ObservationModel,
-             cfg: HpfConfig, model: str, noise: NoiseSpec, dt: float,
-             rng: np.random.Generator):
+             cfg: HpfConfig, model: str, noise: NoiseSpec, rng: np.random.Generator):
     """One higher-order filter step.
 
     ``ctx`` must be ``history.context(1)``, the context pushed with the
-    newest posterior; every hop propagates with the stored contexts.
+    newest posterior; every hop propagates with the stored contexts and their dt.
     Returns (posterior ParticleSet with M uniform-weight particles, mixture
     weights lambda summing to 1).  With K=1 this is exactly one bootstrap
     filter step.
@@ -239,14 +237,14 @@ def hpf_step(history: FilterHistory, ctx: CrowdContext, obs, obs_model: Observat
     if ctx is not history.context(1):
         raise ValueError("ctx must be the context stored with the newest posterior")
     pooled_states, pooled_weights, lambdas, _, flagged = mixture_update(
-        history, obs, obs_model, cfg, model, noise, dt, rng)
+        history, obs, obs_model, cfg, model, noise, rng)
     pooled = ParticleSet(pooled_states, pooled_weights, flagged)
     return resample(pooled, cfg.particles_m, rng), lambdas
 
 
 def pf_step(prior: ParticleSet, ctx: CrowdContext, obs, obs_model: ObservationModel,
-            model: str, noise: NoiseSpec, dt: float, rng: np.random.Generator) -> ParticleSet:
-    """One bootstrap particle filter step: propagate, reweight, resample.
+            model: str, noise: NoiseSpec, rng: np.random.Generator) -> ParticleSet:
+    """One bootstrap particle filter step at ``ctx.params.dt``: propagate, reweight, resample.
 
     Implemented as the K=1 case of the mixture filter so the two share every
     numerical path.
@@ -254,7 +252,7 @@ def pf_step(prior: ParticleSet, ctx: CrowdContext, obs, obs_model: ObservationMo
     history = FilterHistory(1)
     history.push(prior.normalized(), ctx)
     cfg = HpfConfig(order_k=1, pi=(1.0,), particles_m=prior.size)
-    posterior, _ = hpf_step(history, ctx, obs, obs_model, cfg, model, noise, dt, rng)
+    posterior, _ = hpf_step(history, ctx, obs, obs_model, cfg, model, noise, rng)
     return posterior
 
 

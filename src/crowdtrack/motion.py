@@ -98,12 +98,11 @@ def resolve_model(name: str) -> Tuple[str, bool]:
     return base, name.endswith("+")
 
 
-def predict_mean_batch(model: str, states: np.ndarray, ctx: CrowdContext, dt: float) -> np.ndarray:
-    """Noise-free transition means of one agent's states (M, 6) under a MODELS id."""
+def predict_mean_batch(model: str, states: np.ndarray, ctx: CrowdContext) -> np.ndarray:
+    """Noise-free means of one ``ctx.params.dt`` step of an agent's states (M, 6) under ``model``."""
     if model not in MODELS:
         raise ValueError(f"unknown model id '{model}' (available: {MODELS})")
-    if not (dt > 0.0):
-        raise ValueError("dt must be > 0")
+    dt = ctx.params.dt
     states = np.asarray(states, dtype=np.float64)
     if model == "lin":
         return step_mean(states, states[:, 2:4], dt)

@@ -29,6 +29,12 @@ MIN_MAX_SPEED = 1e-150
 #: normal float (4e300), inside the kernel's stated input domain.
 MAX_RADIUS = 1e150
 
+#: Closed range of a step length ``dt`` and a planning horizon ``tau`` (s).  With
+#: kernel inputs in [1e-100, 1e100], every x / tau, r / dt and v * dt then lies in
+#: [1e-106, 1e106], so their squares stay normal floats, as the kernel's domain needs.
+MIN_TIME = 1e-6
+MAX_TIME = 1e6
+
 
 def as_vec(value, name="vector"):
     """Coerce to a finite float64 2-vector."""
@@ -38,6 +44,12 @@ def as_vec(value, name="vector"):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {arr}")
     return arr
+
+
+def check_time(name: str, value: float):
+    """Raise ValueError, naming ``name``, unless `MIN_TIME` <= ``value`` <= `MAX_TIME`."""
+    if not (MIN_TIME <= value <= MAX_TIME):
+        raise ValueError(f"{name} must be in [{MIN_TIME!r}, {MAX_TIME!r}] s, got {value!r}")
 
 
 def check_body(radius: float, max_speed: float):
@@ -51,16 +63,16 @@ def check_body(radius: float, max_speed: float):
 
 @dataclass(frozen=True)
 class RvoParams:
-    """Planning horizon and step length (finite, > 0) and neighbor cutoff (> 0, inf for none)."""
+    """Planning horizon and step length (see `check_time`) and neighbor cutoff (> 0, inf
+    for none)."""
 
     time_horizon_tau: float = 2.0
     dt: float = 0.4
     neighbor_radius: float = 10.0
 
     def __post_init__(self):
-        for field_name in ("time_horizon_tau", "dt"):
-            if not (0.0 < getattr(self, field_name) < np.inf):
-                raise ValueError(f"{field_name} must be finite and > 0")
+        check_time("time_horizon_tau", self.time_horizon_tau)
+        check_time("dt", self.dt)
         if not (self.neighbor_radius > 0.0):
             raise ValueError("neighbor_radius must be > 0")
 
@@ -71,8 +83,9 @@ def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
     Row i avoids every other row, in row order, with those rows' radii;
     its new velocity is chosen with ``radii[i]`` and ``max_speeds[i]``, and
     its position moves by that velocity for ``params.dt``.  The desired
-    velocities are kept.  Each row's body is checked by `check_body`.
-    Returns new rows; ``states`` is not modified.
+    velocities are kept.  Each row's body is checked by `check_body`, and a
+    non-finite state row raises ValueError.  Returns new rows; ``states`` is
+    not modified.
     """
     states = np.asarray(states, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
@@ -80,6 +93,8 @@ def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
     n = states.shape[0]
     if states.shape != (n, 6) or radii.shape != (n,) or max_speeds.shape != (n,):
         raise ValueError("states must have shape (n, 6), radii and max_speeds shape (n,)")
+    if not np.isfinite(states).all():
+        raise ValueError("states must be finite")
     rads = radii.tolist()
     speeds = max_speeds.tolist()
     for radius, max_speed in zip(rads, speeds):

@@ -230,18 +230,19 @@ def random_lp_instance(rng):
     return points, normals, max_speed, v_desire
 
 
-def transition(model, states, ctx, noise, dt, rng):
-    """One sampled transition: its own mean computation and its own normal draw."""
-    means = predict_mean_batch(model, states, ctx, dt)
+def transition(model, states, ctx, noise, rng):
+    """One sampled transition at ``ctx.params.dt``: its own mean computation and its
+    own normal draw."""
+    means = predict_mean_batch(model, states, ctx)
     return sample_transition_batch(means, rng.standard_normal(means.shape), noise)
 
 
-def hpf_predict_j(history, j, model, noise, dt, rng):
+def hpf_predict_j(history, j, model, noise, rng):
     """Block j from scratch: the posterior from j steps back through j transitions,
-    each hop with the context stored at the time it starts from."""
+    each hop with the context stored at the time it starts from, and its dt."""
     states = history.posterior(j).states
     for back in range(j, 0, -1):
-        states = transition(model, states, history.context(back), noise, dt, rng)
+        states = transition(model, states, history.context(back), noise, rng)
     return states
 
 
@@ -260,13 +261,13 @@ def _normalize_log(a):
     return w / w.sum()
 
 
-def mixture_update_per_block(history, obs, obs_model, cfg, model, noise, dt, rng):
+def mixture_update_per_block(history, obs, obs_model, cfg, model, noise, rng):
     """`filters.mixture_update` block by block, one 1-D array per block, as it
     was first written: the oracle for the row-reduction version."""
     k_eff = min(len(history), cfg.order_k)
     pi = np.asarray(cfg.pi[:k_eff], dtype=np.float64)
     pi = pi / pi.sum()
-    block_states = list(predict_blocks(history, k_eff, model, noise, dt, rng))
+    block_states = list(predict_blocks(history, k_eff, model, noise, rng))
     logliks = [np.asarray(obs_model.log_likelihood(obs, states), dtype=np.float64)
                for states in block_states]
     with np.errstate(divide="ignore"):

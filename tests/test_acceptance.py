@@ -135,8 +135,8 @@ def test_criterion_3_hpf_degeneracy():
     for t in range(100):
         obs = obs_rng.uniform(-0.5, 0.5, 2) + np.array([0.01 * t, 0.0])
         out_a, lambdas = hpf_step(history, ctx, obs, obs_model, cfg, "rvo",
-                                  noise, dt, rng_a)
-        out_b = pf_step(prior_b, ctx, obs, obs_model, "rvo", noise, dt, rng_b)
+                                  noise, rng_a)
+        out_b = pf_step(prior_b, ctx, obs, obs_model, "rvo", noise, rng_b)
         if not (np.array_equal(out_a.states, out_b.states)
                 and np.array_equal(out_a.weights, out_b.weights)
                 and lambdas.shape == (1,)):
@@ -168,7 +168,7 @@ def test_criterion_4_lambda_override_threshold():
         y = (pred1**2 - pred2**2 - 2.0 * sigma**2 * np.log(factor)) \
             / (2.0 * (pred1 - pred2))
         _, lam = hpf_step(history, ctx, np.array([y, 0.0]), obs_model, cfg,
-                          "lin", noise, dt, np.random.default_rng(0))
+                          "lin", noise, np.random.default_rng(0))
         return lam
 
     lam_hi = lambdas_for_factor(10.2)
@@ -206,7 +206,7 @@ def test_criterion_5_kalman_oracle():
         pset = ParticleSet(states, np.full(m_particles, 1.0 / m_particles))
         devs, var_mis = [], []
         for t in range(steps):
-            pset = pf_step(pset, ctx, observations[t], obs_model, "lin", noise, dt, rng)
+            pset = pf_step(pset, ctx, observations[t], obs_model, "lin", noise, rng)
             pf_mean = pset.weights @ pset.states
             pf_var = pset.states.var(axis=0)
             kf_std = np.sqrt(np.diag(kf_covs[t]))

@@ -246,6 +246,11 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (TRACK + ["--set", "rvo.dt=-1"], 2, "rvo.dt"),
     (TRACK + ["--set", "rvo.dt=inf"], 2, "rvo.dt"),
     (TRACK + ["--set", "rvo.tau=inf"], 2, "rvo.tau"),
+    (TRACK + ["--set", "rvo.dt=1e300"], 2, "rvo.dt"),
+    (TRACK + ["--set", "rvo.tau=1e300"], 2, "rvo.tau"),
+    # The circle simulates at dt / 4, below the range here.
+    (["simulate", "--kind", "circle", "--agents", 8, "--steps", 3, "--set", "rvo.dt=2e-6"],
+     2, "rvo.dt"),
     (TRACK + ["--set", "body.radius=inf"], 2, "body.radius"),
     (TRACK + ["--set", "body.max_speed=inf"], 2, "body.max_speed"),
     (TRACK + ["--set", "body.max_speed=1e-170"], 2, "body.max_speed"),
@@ -278,6 +283,7 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (["predict", "--input", "dt_zero.csv"], 4, "dt"),
     (["predict", "--input", "dt_inf.csv"], 4, "dt"),
     (["predict", "--input", "dt_tiny.csv"], 4, "dt"),
+    (["predict", "--input", "dt_huge.csv"], 4, "dt"),
     (["predict", "--input", "x_overflow.csv"], 4, "dt"),
     (["predict", "--input", "off_grid.txt", "--format", "obsmat"], 4, "frame 17"),
     (["predict", "--input", "far_gap.csv"], 4, "frame 1000000000"),
@@ -290,6 +296,7 @@ def test_bad_input_exits_with_code_naming_key(tmp_path, capsys, monkeypatch, arg
     (tmp_path / "dt_zero.csv").write_text("# dt = 0\n" + DT_ROWS)
     (tmp_path / "dt_inf.csv").write_text("# dt = inf\n" + DT_ROWS)
     (tmp_path / "dt_tiny.csv").write_text("# dt = 1e-320\n" + DT_ROWS)
+    (tmp_path / "dt_huge.csv").write_text("# dt = 1e300\n" + DT_ROWS)
     (tmp_path / "x_overflow.csv").write_text("frame,id,x,y\n0,1,1e308,0.0\n1,1,-1e308,0.0\n")
     (tmp_path / "off_grid.txt").write_text("".join(f"{n} 1 0.0 0.0 0.0 0.0 0.0 0.0\n"
                                                    for n in (0, 10, 17, 20, 30)))

@@ -81,10 +81,9 @@ class TestPfStep:
         prior = cloud(rng, 10000)
         noise = NoiseSpec(0.02, 0.02, 0.02)
         obs_model = GaussianPositionLikelihood(0.1)
-        post = pf_step(prior, empty_ctx(), None, obs_model, "lin", noise, DT,
-                       np.random.default_rng(5))
+        post = pf_step(prior, empty_ctx(), None, obs_model, "lin", noise, np.random.default_rng(5))
         propagated = transition("lin", prior.states, empty_ctx(),
-                                noise, DT, np.random.default_rng(6))
+                                noise, np.random.default_rng(6))
         got = post.weights @ post.states
         want = propagated.mean(axis=0)
         scale = noise.block_scales() + prior.states.std(axis=0)
@@ -100,7 +99,7 @@ class TestPfStep:
         prior = uniform_set(states)
         post = pf_step(prior, empty_ctx(), target,
                        GaussianPositionLikelihood(sigma_obs), "lin",
-                       NoiseSpec(0.0, 0.0, 0.0), DT, rng)
+                       NoiseSpec(0.0, 0.0, 0.0), rng)
         mean_pos = (post.weights @ post.states)[0:2]
         assert np.all(np.abs(mean_pos - target) < 3.0 * sigma_obs / np.sqrt(m))
 
@@ -110,7 +109,7 @@ class TestPfStep:
         # An observation hundreds of sigma away underflows every weight.
         post = pf_step(prior, empty_ctx(), np.array([1e4, 1e4]),
                        GaussianPositionLikelihood(0.1), "lin",
-                       NoiseSpec(0.01, 0.01, 0.01), DT, rng)
+                       NoiseSpec(0.01, 0.01, 0.01), rng)
         assert post.flagged
         assert post.size == prior.size
         assert abs(post.weights.sum() - 1.0) < 1e-9
@@ -138,7 +137,7 @@ class TestPfStep:
         obs_model = GaussianPositionLikelihood(sigma_obs)
         devs = []
         for t in range(steps):
-            pset = pf_step(pset, empty_ctx(), obs[t], obs_model, "lin", noise, dt, rng)
+            pset = pf_step(pset, empty_ctx(), obs[t], obs_model, "lin", noise, rng)
             pf_mean = pset.weights @ pset.states
             kf_std = np.sqrt(np.diag(kf_covs[t]))
             devs.append(np.abs(pf_mean - kf_means[t]) / kf_std)
@@ -155,8 +154,8 @@ class TestHpfPredictJ:
         history = FilterHistory(2)
         history.push(prior, empty_ctx())
         noise = NoiseSpec()
-        out = predict_blocks(history, 1, "lin", noise, DT, rng_a)[0]
-        direct = transition("lin", prior.states, empty_ctx(), noise, DT, rng_b)
+        out = predict_blocks(history, 1, "lin", noise, rng_a)[0]
+        direct = transition("lin", prior.states, empty_ctx(), noise, rng_b)
         assert np.array_equal(out, direct)
 
     def test_two_euler_steps_without_noise(self):
@@ -164,8 +163,7 @@ class TestHpfPredictJ:
         history = FilterHistory(2)
         history.push(uniform_set(state), empty_ctx())
         history.push(uniform_set(state), empty_ctx())
-        out = predict_blocks(history, 2, "lin", NoiseSpec(0, 0, 0), DT,
-                             np.random.default_rng(0))[1]
+        out = predict_blocks(history, 2, "lin", NoiseSpec(0, 0, 0), np.random.default_rng(0))[1]
         assert np.allclose(out[0, 0:2], [0.8, 0.0])
 
     def test_rvo_two_step_matches_manual_rollout(self):
@@ -180,26 +178,26 @@ class TestHpfPredictJ:
         history.push(prior, ctx_then)
         history.push(uniform_set(np.zeros((40, 6))), ctx_now)
         noise = NoiseSpec(0.01, 0.01, 0.01)
-        out = predict_blocks(history, 2, "rvo", noise, DT, np.random.default_rng(14))[1]
+        out = predict_blocks(history, 2, "rvo", noise, np.random.default_rng(14))[1]
         rng_manual = np.random.default_rng(14)
         rng_manual.standard_normal((40, 6))  # block 1's normals come first
-        step1 = transition("rvo", prior.states, ctx_then, noise, DT, rng_manual)
-        step2 = transition("rvo", step1, ctx_now, noise, DT, rng_manual)
+        step1 = transition("rvo", prior.states, ctx_then, noise, rng_manual)
+        step2 = transition("rvo", step1, ctx_now, noise, rng_manual)
         assert np.array_equal(out, step2)
 
     def test_insufficient_history(self):
         history = FilterHistory(3)
         history.push(cloud(np.random.default_rng(15), 10), empty_ctx())
         with pytest.raises(InsufficientHistory):
-            predict_blocks(history, 2, "lin", NoiseSpec(), DT, np.random.default_rng(0))
+            predict_blocks(history, 2, "lin", NoiseSpec(), np.random.default_rng(0))
 
 
-def crowd_contexts(rng, k, params):
-    """k contexts of two neighbours close enough to bend the RVO velocities."""
+def crowd_contexts(rng, dts):
+    """One context per dt, of two neighbours close enough to bend the RVO velocities."""
     return [CrowdContext(others=[[1.0, 0.3 * t, -1.0, 0.0, -1.0, 0.0],
                                  [0.6, -0.8 + 0.1 * t, 0.0, 1.0, 0.0, 1.0]]
-                         + rng.normal(0.0, 0.05, (2, 6)), params=params)
-            for t in range(k)]
+                         + rng.normal(0.0, 0.05, (2, 6)), params=RvoParams(dt=dt))
+            for t, dt in enumerate(dts)]
 
 
 def filled_tracker(k, model, m=24, frames=4):
@@ -215,10 +213,10 @@ def filled_tracker(k, model, m=24, frames=4):
     return tracker
 
 
-def assert_blocks_match_oracle(history, k, model, dt, seed):
+def assert_blocks_match_oracle(history, k, model, seed):
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = predict_blocks(history, k, model, NoiseSpec(), dt, rng_new)
-    want = [hpf_predict_j(history, j, model, NoiseSpec(), dt, rng_old) for j in range(1, k + 1)]
+    got = predict_blocks(history, k, model, NoiseSpec(), rng_new)
+    want = [hpf_predict_j(history, j, model, NoiseSpec(), rng_old) for j in range(1, k + 1)]
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     assert rng_new.random() == rng_old.random()  # the same number of normals drawn
@@ -230,28 +228,29 @@ class TestPredictBlocksMatchesPerBlockLoop:
     """Bitwise equal to propagating each block from scratch, hop by hop."""
 
     def test_hand_pushed_history(self, k, model):
-        rng = np.random.default_rng(30 + k)
-        history = FilterHistory(k)
-        for t, ctx in enumerate(crowd_contexts(rng, k, RvoParams(dt=DT))):
-            history.push(cloud(rng, 20, pos=(0.4 * t, 0.0)), ctx)
-        assert_blocks_match_oracle(history, k, model, DT, seed=40)
-        assert_blocks_match_oracle(history, k, model, DT, seed=41)  # now from the memos
+        # Each hop steps at the dt of the context it propagates with: every context
+        # at DT, every one at 0.25 s, and the two mixed.
+        for dts in ((DT,) * k, (0.25,) * k, (DT, 0.25, DT)[:k]):
+            rng = np.random.default_rng(30 + k)
+            history = FilterHistory(k)
+            for t, ctx in enumerate(crowd_contexts(rng, dts)):
+                history.push(cloud(rng, 20, pos=(0.4 * t, 0.0)), ctx)
+            assert_blocks_match_oracle(history, k, model, seed=40)
+            assert_blocks_match_oracle(history, k, model, seed=41)  # now from the memos
 
     def test_history_filled_by_tracker_frames(self, k, model):
         tracker = filled_tracker(k, model)
         for seed, history in enumerate(tracker.histories):
             assert len(history) == k
-            assert_blocks_match_oracle(history, k, model, DT, seed)
-            # Memos are kept for the entries the next step reads again, and only those.
-            kept = [(model, DT) in history._entry(j)[2] for j in range(1, k + 1)]
-            assert kept == [j < k for j in range(1, k + 1)]
+            assert_blocks_match_oracle(history, k, model, seed)
+            # Every entry keeps its memo until a push drops the entry.
+            assert all(model in history._entry(j)[2] for j in range(1, k + 1))
 
     def test_restepped_history_recomputes_its_memo(self, k, model):
         other_model = "lin" if model == "rvo" else "rvo"
         history = filled_tracker(k, model).histories[0]
-        assert_blocks_match_oracle(history, k, other_model, DT, seed=50)
-        assert_blocks_match_oracle(history, k, model, 0.25, seed=51)
-        assert_blocks_match_oracle(history, k, model, DT, seed=52)
+        assert_blocks_match_oracle(history, k, other_model, seed=50)
+        assert_blocks_match_oracle(history, k, model, seed=52)
 
 
 @pytest.mark.parametrize("k, rows_per_call", [(1, 1), (2, 2)])
@@ -286,8 +285,8 @@ class TestHpfStep:
         history.push(prior, empty_ctx())
         cfg = HpfConfig(order_k=1, pi=(1.0,), particles_m=80)
         out_h, lambdas = hpf_step(history, history.context(1), obs, obs_model, cfg,
-                                  "lin", noise, DT, np.random.default_rng(17))
-        out_p = pf_step(prior, empty_ctx(), obs, obs_model, "lin", noise, DT,
+                                  "lin", noise, np.random.default_rng(17))
+        out_p = pf_step(prior, empty_ctx(), obs, obs_model, "lin", noise,
                         np.random.default_rng(17))
         assert np.array_equal(out_h.states, out_p.states)
         assert np.array_equal(out_h.weights, out_p.weights)
@@ -299,7 +298,7 @@ class TestHpfStep:
         cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=60)
         _, lambdas = hpf_step(history, history.context(1), np.array([0.8, 0.0]),
                               GaussianPositionLikelihood(0.1), cfg, "lin",
-                              NoiseSpec(), DT, rng)
+                              NoiseSpec(), rng)
         assert abs(lambdas.sum() - 1.0) < 1e-12
         assert np.all(lambdas >= 0.0)
 
@@ -309,7 +308,7 @@ class TestHpfStep:
         cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=35)
         pooled_states, pooled_w, lambdas, _, _ = mixture_update(
             history, np.array([0.8, 0.0]),
-            GaussianPositionLikelihood(0.1), cfg, "lin", NoiseSpec(), DT, rng)
+            GaussianPositionLikelihood(0.1), cfg, "lin", NoiseSpec(), rng)
         assert pooled_states.shape == (70, 6)
         assert abs(pooled_w.sum() - 1.0) < 1e-9
 
@@ -320,7 +319,7 @@ class TestHpfStep:
         cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=30)
         out, lambdas = hpf_step(history, history.context(1), np.array([0.4, 0.0]),
                                 GaussianPositionLikelihood(0.1), cfg, "lin",
-                                NoiseSpec(), DT, rng)
+                                NoiseSpec(), rng)
         assert lambdas.shape == (1,)
         assert abs(lambdas[0] - 1.0) < 1e-12
         assert out.size == 30
@@ -351,13 +350,11 @@ class TestHpfStep:
 
         history1 = self._history(np.random.default_rng(22), m=40)
         _, _, _, scores_base, _ = mixture_update(
-            history1, obs, base, cfg, "lin", noise, DT,
-            np.random.default_rng(23))
+            history1, obs, base, cfg, "lin", noise, np.random.default_rng(23))
         history2 = self._history(np.random.default_rng(22), m=40)
         scaled = BlockScaledLikelihood(base, block=1, log_c=log_c)
         _, _, _, scores_scaled, _ = mixture_update(
-            history2, obs, scaled, cfg, "lin", noise, DT,
-            np.random.default_rng(23))
+            history2, obs, scaled, cfg, "lin", noise, np.random.default_rng(23))
         assert abs((scores_scaled[1] - scores_base[1]) - log_c) < 1e-12
         assert abs(scores_scaled[0] - scores_base[0]) < 1e-12
 
@@ -379,8 +376,7 @@ class TestHpfStep:
 
         def lambdas_for(obs_x):
             _, lam = hpf_step(history, history.context(1), np.array([obs_x, 0.0]),
-                              obs_model, cfg, "lin", noise, DT,
-                              np.random.default_rng(0))
+                              obs_model, cfg, "lin", noise, np.random.default_rng(0))
             return lam
 
         # Choose observation positions giving a 2-step/1-step likelihood
@@ -427,7 +423,7 @@ class TestHpfStep:
 
         pooled_states, pooled_w, lambdas, _, _ = mixture_update(
             history, np.array([y, 0.0]), obs_model, cfg, "lin",
-            noise, dt, np.random.default_rng(0))
+            noise, np.random.default_rng(0))
 
         pred1 = p1 + v1 * dt
         pred2 = p2 + 2.0 * v2 * dt
@@ -451,7 +447,7 @@ class TestHpfStep:
         cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=30)
         out, lambdas = hpf_step(history, history.context(1), np.array([1e5, 1e5]),
                                 GaussianPositionLikelihood(0.05), cfg, "lin",
-                                NoiseSpec(), DT, rng)
+                                NoiseSpec(), rng)
         assert out.flagged
         assert np.allclose(lambdas, [0.91, 0.09])
         assert out.size == 30
@@ -470,7 +466,7 @@ class TestHpfStep:
         cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=40)
         out, lambdas = hpf_step(history, history.context(1), np.array([1e5, 1e5]),
                                 GaussianPositionLikelihood(0.05), cfg, "lin",
-                                NoiseSpec(), DT, rng)
+                                NoiseSpec(), rng)
         assert out.flagged
         digest = hashlib.sha256(out.states.tobytes() + out.weights.tobytes()
                                 + lambdas.tobytes()).hexdigest()
@@ -487,7 +483,7 @@ class TestHpfStep:
             cfg = HpfConfig(order_k=2, pi=(0.91, 0.09), particles_m=30)
             out, lambdas = hpf_step(history, history.context(1), np.array([0.4, 0.0]),
                                     GaussianPositionLikelihood(0.1), cfg, "lin",
-                                    NoiseSpec(), DT, rng)
+                                    NoiseSpec(), rng)
             steps.append((out.states.tobytes(), out.weights.tobytes(), lambdas.tobytes()))
         assert steps[0] == steps[1] == steps[2]
 
@@ -498,7 +494,7 @@ class TestHpfStep:
         for ctx in (empty_ctx(), history.context(2)):
             with pytest.raises(ValueError, match="ctx"):
                 hpf_step(history, ctx, np.array([0.4, 0.0]), GaussianPositionLikelihood(0.1),
-                         cfg, "lin", NoiseSpec(), DT, np.random.default_rng(0))
+                         cfg, "lin", NoiseSpec(), np.random.default_rng(0))
 
 
 class ScriptedLikelihood:
@@ -566,7 +562,7 @@ def test_mixture_update_equals_the_per_block_oracle(k, m):
         kinds = (["underflow"] * k if trial == 0 else ["plain"] * k if trial == 1
                  else [LOGLIK_KINDS[i] for i in picker.integers(len(LOGLIK_KINDS), size=k)])
         seed = 1000 * k + 10 * m + trial
-        got, want = [update(history, None, likelihood, cfg, "lin", NoiseSpec(), DT,
+        got, want = [update(history, None, likelihood, cfg, "lin", NoiseSpec(),
                             np.random.default_rng(seed))
                      for update, (history, likelihood) in (
                          (mixture_update, mixture_case(seed, k, m, kinds)),

@@ -18,7 +18,7 @@ def state(p, v, d=None):
 
 
 def predict(model, s, ctx):
-    return predict_mean_batch(model, s[None, :], ctx, 0.4)[0]
+    return predict_mean_batch(model, s[None, :], ctx)[0]
 
 
 def empty_ctx(**kw):
@@ -81,7 +81,7 @@ class TestSampleTransition:
         rng = np.random.default_rng(0)
         s = state([0.5, -1.0], [0.9, 0.2])
         noise = NoiseSpec(0.0, 0.0, 0.0)
-        out = transition("lin", s[None, :], empty_ctx(), noise, 0.4, rng)[0]
+        out = transition("lin", s[None, :], empty_ctx(), noise, rng)[0]
         assert np.array_equal(out, predict("lin", s, empty_ctx()))
 
     def test_noise_moments(self):
@@ -90,7 +90,7 @@ class TestSampleTransition:
         s = state([0.0, 0.0], [1.0, 0.0])
         n = 100000
         states = np.tile(s, (n, 1))
-        out = transition("lin", states, empty_ctx(), noise, 0.4, rng)
+        out = transition("lin", states, empty_ctx(), noise, rng)
         mean = predict("lin", s, empty_ctx())
         scales = noise.block_scales()
         emp_mean = out.mean(axis=0)
@@ -101,8 +101,8 @@ class TestSampleTransition:
     def test_fixed_seed_reproducible(self):
         states = state([0, 0], [1, 0])[None, :]
         noise = NoiseSpec()
-        a = transition("lin", states, empty_ctx(), noise, 0.4, np.random.default_rng(42))
-        b = transition("lin", states, empty_ctx(), noise, 0.4, np.random.default_rng(42))
+        a = transition("lin", states, empty_ctx(), noise, np.random.default_rng(42))
+        b = transition("lin", states, empty_ctx(), noise, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_speed_cap_enforced(self):
@@ -110,7 +110,7 @@ class TestSampleTransition:
         s = state([0, 0], [2.5, 0])
         noise = NoiseSpec(0.0, 5.0, 5.0)
         states = np.tile(s, (2000, 1))
-        out = transition("lin", states, empty_ctx(), noise, 0.4, rng)
+        out = transition("lin", states, empty_ctx(), noise, rng)
         speeds = np.linalg.norm(out[:, 2:4], axis=1)
         desired = np.linalg.norm(out[:, 4:6], axis=1)
         assert np.all(speeds <= 3.0 + 1e-12)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdtrack import RvoParams, crowd_step, kernels
-from crowdtrack.rvo import MAX_RADIUS, MIN_MAX_SPEED
+from crowdtrack.rvo import MAX_RADIUS, MAX_TIME, MIN_MAX_SPEED, MIN_TIME
 from helpers import crowd_step_oracle
 
 
@@ -197,6 +197,16 @@ class TestRvoStep:
         velocity = velocities(row, [MIN_MAX_SPEED], [MIN_MAX_SPEED])[0]
         assert np.hypot(*velocity) <= MIN_MAX_SPEED * (1.0 + 1e-12)  # norm would underflow
 
+    @pytest.mark.parametrize("field", ["dt", "time_horizon_tau"])
+    def test_clock_is_in_its_closed_range(self, field):
+        # At tau = 1e300, x / tau squared to 0 and avoidance was silently dropped.
+        for ok in (MIN_TIME, MAX_TIME):
+            assert getattr(RvoParams(**{field: ok}), field) == ok
+        for bad in (0.0, np.nextafter(MIN_TIME, 0.0), np.nextafter(MAX_TIME, np.inf),
+                    1e300, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^{field} must be in"):
+                RvoParams(**{field: bad})
+
     def test_crowd_step_checks_its_shapes(self):
         # One radius and one speed limit per row: a row without a body is an error.
         rows = np.zeros((2, 6))
@@ -206,6 +216,10 @@ class TestRvoStep:
             crowd_step(rows, [0.2, 0.2], [2.5, 2.5, 2.5], PARAMS)
         with pytest.raises(ValueError, match="^states must have shape"):
             crowd_step(rows[:, :4], [0.2, 0.2], [2.5, 2.5], PARAMS)
+        # A nan row came back nan, and the other agent walked on as if alone.
+        with pytest.raises(ValueError, match="^states must be finite"):
+            crowd_step([[np.nan, 0.0, 1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0, -1.0, 0.0]],
+                       [0.2, 0.2], [2.5, 2.5], PARAMS)
 
 
 # SHA-256 of the velocities below, computed with the scalar kernels. A
