@@ -251,10 +251,11 @@ def _load_scenario(cfg: RunConfig, protocol: ProtocolConfig) -> Scenario:
         except OverlappingScenario as exc:
             raise ConfigError("seed", str(exc)) from None
         except ValueError as exc:
-            # The generator steps at rvo.dt / substeps: a clock out of range names
-            # its key by the message's first word, as in `configure`.
-            raise ConfigError("rvo.dt" if str(exc).startswith("dt ") else "kind",
-                              str(exc)) from None
+            # The generator steps at rvo.dt / substeps, and the circle's default step
+            # count grows as 1 / rvo.dt: the message's first word names the key, as in
+            # `configure`.
+            key = {"dt": "rvo.dt", "steps": "steps"}.get(str(exc).split(" ", 1)[0], "kind")
+            raise ConfigError(key, str(exc)) from None
     raise ConfigError("input", "either an input file or a scenario kind is required")
 
 

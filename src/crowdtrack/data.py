@@ -25,6 +25,10 @@ from .rvo import RvoParams, as_vec, check_time, crowd_step
 #: Preferred walking speed of generated agents (m/s), recorded in each scenario's meta.
 PREF_SPEED = 1.3
 
+#: Most recorded steps `make_scenario` simulates.  The circle's default count grows
+#: as 1 / dt; at this bound the 8-agent circle records 1.3 MB in 40,000 crowd steps.
+MAX_STEPS = 10_000
+
 #: Observations aligned to a scenario's frames: item k maps each agent id of the
 #: k-th frame to its observed position, or to None while occluded.
 Trace = List[Dict[int, Optional[np.ndarray]]]
@@ -385,7 +389,8 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
     Agents walk at `PREF_SPEED`.  Sparse kinds simulate directly at dt (the
     dynamics then match a predictor stepping at the annotation rate); the
     dense circle exchange runs four substeps per dt to stay collision-free.
-    Raises :class:`OverlappingScenario` when two agents still come closer
+    Raises ValueError when the step count, given or the kind's default, exceeds
+    `MAX_STEPS`, and :class:`OverlappingScenario` when two agents still come closer
     than ``2 * body.radius - 1e-6`` in a recorded frame (circle-8 seeds 18,
     106 and 12005 do).
     """
@@ -443,7 +448,12 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
     else:
         raise ValueError(f"unknown scenario kind '{kind}'")
 
-    steps = default_steps if steps is None else steps
+    if steps is None:
+        if default_steps > MAX_STEPS:
+            raise ValueError(f"dt = {dt!r} s gives {default_steps} steps, above {MAX_STEPS}")
+        steps = default_steps
+    elif steps > MAX_STEPS:
+        raise ValueError(f"steps must be <= {MAX_STEPS}, got {steps}")
     # Sparse kinds keep a constant desired velocity (walkers pass through);
     # the circle exchange needs goal re-aiming to actually arrive.
     fixed_desired = kind != "circle"

@@ -9,9 +9,11 @@ takes :func:`rvo_velocity_batch`, the row kernel: the same floating-point
 operations as :func:`rvo_velocity`, elementwise over (rows, neighbours)
 numpy arrays, so bitwise the same velocities at any batch size.  A crowd
 step (:func:`crowdtrack.rvo.crowd_step`, the scenario generator's and the
-rollout's one row per agent) converts the crowd once and calls the scalar
-:func:`rvo_velocity` per agent, as the row kernel calls the scalar
-:func:`lp3` on its infeasible rows.
+rollout's one row per agent) converts the crowd once, builds each in-range
+pair's cone once with the scalar :func:`pair_shift` (mirrored for the pair's
+second agent) and solves each agent's program with the scalar
+:func:`solve_velocity_kernel`, bitwise as :func:`rvo_velocity` per agent; the
+row kernel likewise calls the scalar :func:`lp3` on its infeasible rows.
 
 Input domain: finite inputs whose lengths, speeds and radii are 0 or have
 magnitudes whose squares stay normal floats, for example within [1e-100, 1e100].
@@ -156,6 +158,15 @@ def overlap_shift(rel_px, rel_py, radius_sum, dt, vx, vy):
         wuy = wy / w_norm
     mag = radius_sum * inv_dt - w_norm
     return mag * wux, mag * wuy, wux, wuy
+
+
+def pair_shift(rel_px, rel_py, dist2, radius_sum, tau, dt, vx, vy):
+    """(ux, uy, nx, ny) of one agent against one neighbour at squared distance
+    ``dist2``: :func:`overlap_shift` when the discs intersect, else
+    :func:`vo_closest_boundary`."""
+    if dist2 < radius_sum * radius_sum:
+        return overlap_shift(rel_px, rel_py, radius_sum, dt, vx, vy)
+    return vo_closest_boundary(rel_px, rel_py, radius_sum, tau, vx, vy)
 
 
 def lp1(points, normals, index, radius, opt_x, opt_y, direction_opt):
@@ -329,13 +340,8 @@ def build_halfplanes(px, py, vx, vy, radius, nbr_pos, nbr_vel, nbr_rad,
         dist2 = rel_px * rel_px + rel_py * rel_py
         if dist2 > neighbor_radius * neighbor_radius:
             continue
-        r_sum = radius + rad
-        rvx = vx - qvx
-        rvy = vy - qvy
-        if dist2 < r_sum * r_sum:
-            ux, uy, nx, ny = overlap_shift(rel_px, rel_py, r_sum, dt, rvx, rvy)
-        else:
-            ux, uy, nx, ny = vo_closest_boundary(rel_px, rel_py, r_sum, tau, rvx, rvy)
+        ux, uy, nx, ny = pair_shift(rel_px, rel_py, dist2, radius + rad, tau, dt,
+                                    vx - qvx, vy - qvy)
         points.append([vx + 0.5 * ux, vy + 0.5 * uy])
         normals.append([nx, ny])
     return points, normals

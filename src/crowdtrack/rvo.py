@@ -7,14 +7,17 @@ effort equally gives each agent one permitted half-plane per neighbor, and
 the new velocity is the feasible point closest to the agent's desired
 velocity.  The geometry is in :mod:`crowdtrack.kernels`; this module checks
 bodies and steps state rows [px, py, vx, vy, des_x, des_y] (:func:`crowd_step`):
-the crowd becomes Python lists once per step, and each agent's velocity is one
-call of the scalar :func:`crowdtrack.kernels.rvo_velocity`.  The filters'
-particle batches take the row kernel instead, through
-:mod:`crowdtrack.motion`.
+the crowd becomes Python lists once per step, each in-range pair's cone is built
+once with the scalar :func:`crowdtrack.kernels.pair_shift` and mirrored for the
+pair's second agent, and each agent's velocity program is solved with
+:func:`crowdtrack.kernels.solve_velocity_kernel`, bitwise as
+:func:`crowdtrack.kernels.rvo_velocity` per agent.  The filters' particle
+batches take the row kernel instead, through :mod:`crowdtrack.motion`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +85,10 @@ def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
 
     Row i avoids every other row, in row order, with those rows' radii;
     its new velocity is chosen with ``radii[i]`` and ``max_speeds[i]``, and
-    its position moves by that velocity for ``params.dt``.  The desired
+    its position moves by that velocity for ``params.dt``.  Each in-range
+    pair's velocity-obstacle cone is built once and mirrored for the pair's
+    second row, so the velocities are bitwise those of
+    `kernels.rvo_velocity` per row with half the cone work.  The desired
     velocities are kept.  Each row's body is checked by `check_body`, and a
     non-finite state row raises ValueError.  Returns new rows; ``states`` is
     not modified.
@@ -99,20 +105,44 @@ def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
     speeds = max_speeds.tolist()
     for radius, max_speed in zip(rads, speeds):
         check_body(radius, max_speed)
-    # One conversion per call; each row then calls the scalar kernel on Python
-    # floats and lists, with the arguments `kernels.rvo_velocity_batch` passes it.
+    # One conversion per call; the kernels then run on Python floats and lists.
     rows = states.tolist()
-    pos = [row[0:2] for row in rows]
-    vel = [row[2:4] for row in rows]
     tau = float(params.time_horizon_tau)
     dt = float(params.dt)
-    cutoff = float(params.neighbor_radius)
+    cutoff2 = float(params.neighbor_radius) * float(params.neighbor_radius)
+    points = [[] for _ in rows]
+    normals = [[] for _ in rows]
+    # Each in-range pair's cone is built once.  RVO is reciprocal, so j's plane
+    # against i mirrors i's against j: u_ji = -u_ij, n_ji = -n_ij, the bits of
+    # `kernels.build_halfplanes` for j, because negating (x, v) commutes with
+    # every operation of the cone but the sign of a zero.  A component that is
+    # 0 or not finite, and an overlap (coincident discs push both along +x),
+    # take the direct call on j's own inputs instead.  Pairs come in ascending
+    # neighbour order for each agent, as in `build_halfplanes`.
+    for i, (px, py, vx, vy, _, _) in enumerate(rows):
+        for j in range(i + 1, n):
+            qx, qy, qvx, qvy, _, _ = rows[j]
+            rel_px = qx - px
+            rel_py = qy - py
+            dist2 = rel_px * rel_px + rel_py * rel_py
+            if dist2 > cutoff2:
+                continue
+            r_sum = rads[i] + rads[j]
+            ux, uy, nx, ny = kernels.pair_shift(rel_px, rel_py, dist2, r_sum, tau, dt,
+                                                vx - qvx, vy - qvy)
+            points[i].append([vx + 0.5 * ux, vy + 0.5 * uy])
+            normals[i].append([nx, ny])
+            if dist2 < r_sum * r_sum or not 0.0 < abs(ux * uy * nx * ny) < math.inf:
+                ux, uy, nx, ny = kernels.pair_shift(px - qx, py - qy, dist2, r_sum, tau, dt,
+                                                    qvx - vx, qvy - vy)
+            else:
+                ux, uy, nx, ny = -ux, -uy, -nx, -ny
+            points[j].append([qvx + 0.5 * ux, qvy + 0.5 * uy])
+            normals[j].append([nx, ny])
     out = []
     for i, (px, py, vx, vy, des_x, des_y) in enumerate(rows):
-        _, vx, vy = kernels.rvo_velocity(
-            px, py, vx, vy, des_x, des_y, rads[i], speeds[i],
-            pos[:i] + pos[i + 1:], vel[:i] + vel[i + 1:], rads[:i] + rads[i + 1:],
-            tau, dt, cutoff)
+        _, vx, vy = kernels.solve_velocity_kernel(points[i], normals[i], speeds[i],
+                                                  des_x, des_y)
         out.append([px + vx * dt, py + vy * dt, vx, vy, des_x, des_y])
     return np.array(out, dtype=np.float64).reshape(n, 6)
 

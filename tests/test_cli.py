@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from crowdtrack.bench import PROTOCOL_KEYS, ConfigError, ProtocolConfig, configure
 from crowdtrack.data import min_pairwise_separation, parse_trajectories
-from crowdtrack import cli
+from crowdtrack import cli, data
 from crowdtrack.cli import GRID_PREFIX, RUN_KEYS, RunConfig, apply_setting, main
 
 
@@ -39,6 +39,16 @@ class TestSimulate:
 
     def test_missing_kind_is_config_error(self, tmp_path):
         assert run(["simulate", "--out", tmp_path / "x"]) == 2
+
+    @pytest.mark.parametrize("extra, key", [(["--set", "rvo.dt=4e-6"], "rvo.dt"),
+                                            (["--steps", 10_001], "steps")])
+    def test_too_many_steps_exit_2_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                     extra, key):
+        monkeypatch.setattr(data, "simulate_goal_driven", lambda *a, **k: pytest.fail("ran"))
+        assert run(["simulate", "--kind", "circle", "--agents", 8, *extra,
+                    "--out", tmp_path / "x"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_kind_is_config_error(self, tmp_path):
         assert run(["simulate", "--kind", "spiral", "--out", tmp_path / "x"]) == 2

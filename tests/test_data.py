@@ -3,10 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from crowdtrack import (BodySpec, corrupt, make_scenario, parse_trajectories,
+from crowdtrack import (BodySpec, corrupt, data, make_scenario, parse_trajectories,
                         write_trajectories)
-from crowdtrack.data import (MAX_EMPTY_FRAMES, EmptyFile, MalformedRow, NonMonotoneFrames,
-                             OverlappingScenario, min_pairwise_separation,
+from crowdtrack.data import (MAX_EMPTY_FRAMES, MAX_STEPS, EmptyFile, MalformedRow,
+                             NonMonotoneFrames, OverlappingScenario, min_pairwise_separation,
                              simulate_goal_driven)
 
 
@@ -218,6 +218,14 @@ class TestMakeScenario:
         assert positions_digest((("corridor", 3, BodySpec(), (0, 1, 2)),
                                  ("crossing", 2, BodySpec(0.3, 2.5), (0, 1, 2)),
                                  ("circle", 8, BodySpec(), (3,)))) == self.BENCHMARK_PIN
+
+    def test_step_count_is_bounded_before_simulating(self, monkeypatch):
+        # The circle's default count grows as 1 / dt: 4e-6 s would give 4,153,847 steps.
+        monkeypatch.setattr(data, "simulate_goal_driven", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(ValueError, match="^steps must be <= "):
+            make_scenario("corridor", 2, 0, steps=MAX_STEPS + 1)
+        with pytest.raises(ValueError, match="^dt = 4e-06 s gives 4153847 steps"):
+            make_scenario("circle", 8, 3, dt=4e-6)
 
     def test_goals_are_checked(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdtrack import RvoParams, crowd_step, kernels
+from crowdtrack.data import make_scenario
 from crowdtrack.rvo import MAX_RADIUS, MAX_TIME, MIN_MAX_SPEED, MIN_TIME
 from helpers import crowd_step_oracle
 
@@ -291,3 +292,48 @@ def test_crowd_step_equals_its_batch_kernel_loop_and_keeps_speed_limits(crowd):
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
     speeds = np.hypot(out[:, 2], out[:, 3])
     assert np.all(speeds <= max_speeds * (1.0 + 1e-12))
+
+
+def test_crowd_step_keeps_signed_zeros_of_its_batch_kernel_loop():
+    """`crowd_step` mirrors a pair's cone for its second agent; a mirrored 0.0
+    would be -0.0 where the agent's own cone gives 0.0.  Crowds whose
+    coordinates and velocities are signed zeros and a few exact values, with
+    coincident positions and equal velocities, match the per-row oracle bit for
+    bit at three cutoffs."""
+    rng = np.random.default_rng(27)
+    values = np.array([0.0, -0.0, 0.3, -0.3, 0.5, -0.5, 1.0, 2.0])
+    for cutoff in (1.0, 10.0, math.inf):
+        params = RvoParams(time_horizon_tau=2.0, dt=0.4, neighbor_radius=cutoff)
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            states = rng.choice(values, (n, 6))
+            for i in range(1, n):
+                j, how = rng.integers(0, i), rng.integers(0, 3)
+                if how == 0:
+                    states[i, 0:2] = states[j, 0:2]  # coincident
+                elif how == 1:
+                    states[i, 2:4] = states[j, 2:4]  # equal velocities
+            radii = rng.choice([0.1, 0.2, 0.3], n)
+            max_speeds = np.full(n, 1.5)
+            out = crowd_step(states, radii, max_speeds, params)
+            expected = crowd_step_oracle(states, radii, max_speeds, params)
+            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64)), states
+
+
+def test_crowd_step_builds_each_pairs_cone_once(monkeypatch):
+    """One `vo_closest_boundary` call per unordered in-range pair: the README
+    circle at frame 10 with a 3 m cutoff, whose pairs are apart and have no zero
+    component.  Per-agent cones would make two calls per pair."""
+    scenario = make_scenario("circle", 8, 3)
+    now, before = (np.array([pos for _, pos in scenario.frames[k].entries]) for k in (10, 9))
+    states = np.column_stack([now, (now - before) / scenario.dt, -now])
+    params = RvoParams(dt=0.1, neighbor_radius=3.0)
+    gaps = np.linalg.norm(now[:, None] - now[None], axis=2)[np.triu_indices(8, 1)]
+    assert np.all(gaps > 2 * 0.2)  # no overlap
+    in_range = int(np.count_nonzero(gaps <= params.neighbor_radius))
+    assert 0 < in_range < 28
+    calls = []
+    cone = kernels.vo_closest_boundary
+    monkeypatch.setattr(kernels, "vo_closest_boundary", lambda *a: calls.append(a) or cone(*a))
+    crowd_step(states, np.full(8, 0.2), np.full(8, 1.5), params)
+    assert len(calls) == in_range
