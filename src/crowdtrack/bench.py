@@ -168,12 +168,12 @@ class JointTracker:
     Every agent's particles interact with the *previous* frame's posterior
     means of the other agents; new means are published only after all agents
     finished the frame.  ``means`` holds them as one (agents, 6) array of
-    state rows in ``ids`` order.  Steps span ``dt``, the scenario's interval,
-    and score observations with ``cfg.sigma_obs``.
+    state rows in ``ids`` order.  Steps span ``cfg.params.dt`` (the protocols
+    set it to the scenario's) and score observations with ``cfg.sigma_obs``.
     """
 
     def __init__(self, init_fixes: Dict[int, Tuple[np.ndarray, np.ndarray]],
-                 model: str, filter_kind: str, cfg: ProtocolConfig, dt: float,
+                 model: str, filter_kind: str, cfg: ProtocolConfig,
                  rng: np.random.Generator, init_spread: Tuple[float, float]):
         base_model, adaptive = resolve_model(model)
         self.model = base_model
@@ -184,7 +184,7 @@ class JointTracker:
             raise ValueError(f"unknown filter kind '{filter_kind}'")
         self.hpf = hpf
         self.noise = cfg.noise if adaptive else replace(cfg.noise, sigma_desired=0.0)
-        self.params = replace(cfg.params, dt=dt)
+        self.params = cfg.params
         self.body = cfg.body
         self.obs_model = GaussianPositionLikelihood(cfg.sigma_obs)
         self.rng = rng
@@ -270,7 +270,7 @@ class ProtocolConfig:
         for name in ("sigma_obs", "threshold"):
             if not (0.0 < getattr(self, name) < np.inf):
                 raise ValueError(f"{name} must be finite and > 0")
-        for name in ("start_stride", "learn_steps", "track_steps"):
+        for name in ("start_stride", "learn_steps", "predict_steps", "track_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name, steps in (("prediction_horizons", self.predict_steps),
@@ -279,12 +279,12 @@ class ProtocolConfig:
             if not horizons or not all(1 <= h <= steps for h in horizons):
                 raise ValueError(f"{name} must be one or more steps in 1..{steps}")
 
-    def resolve_init_spread(self, dt: float, exact_observations: bool):
+    def resolve_init_spread(self, exact_observations: bool):
         """(position, velocity) spread of the initial particle cloud: derived
-        from sigma_obs for noisy traces, collapsed for exact ones."""
+        from sigma_obs and ``params.dt`` for noisy traces, collapsed for exact ones."""
         if exact_observations:
             return (0.0, 0.0)
-        return (self.sigma_obs, 1.5 * self.sigma_obs / dt)
+        return (self.sigma_obs, 1.5 * self.sigma_obs / self.params.dt)
 
 
 @dataclass(frozen=True)
@@ -384,6 +384,19 @@ def configure(base: ProtocolConfig, settings: Dict[str, object]) -> ProtocolConf
     return build("", base, top)
 
 
+def _protocol_inputs(scenario: Scenario, trace: Optional[Trace],
+                     cfg: Optional[ProtocolConfig], seed: int):
+    """Truth maps, observed maps (``trace``, else the truth), generator and ``cfg``
+    stepping at the scenario's dt; ValueError on a trace of another length."""
+    truth = [dict(f.entries) for f in scenario.frames]
+    if trace is not None and len(trace) != len(truth):
+        raise ValueError(f"trace has {len(trace)} frames, "
+                         f"scenario '{scenario.name}' has {len(truth)}")
+    cfg = cfg or ProtocolConfig()
+    cfg = replace(cfg, params=replace(cfg.params, dt=scenario.dt))
+    return truth, truth if trace is None else trace, np.random.default_rng(seed), cfg
+
+
 def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
                             filter_kind: str = "hpf",
                             cfg: Optional[ProtocolConfig] = None, seed: int = 0,
@@ -396,14 +409,13 @@ def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
     while occluded}), then extrapolated open loop without observations; a
     start where one of them is unobserved at t0 or t0 + 1 is skipped.  The
     Euclidean error of the published mean at each horizon is averaged over
-    all (trial, agent) pairs that reach it.
+    all (trial, agent) pairs that reach it.  Without a trace the initial
+    particle cloud is collapsed.
     """
-    cfg = cfg or ProtocolConfig()
-    truth = [dict(f.entries) for f in scenario.frames]
-    observed = truth if trace is None else trace
+    truth, observed, rng, cfg = _protocol_inputs(scenario, trace, cfg, seed)
+    spread = cfg.resolve_init_spread(exact_observations=trace is None)
     n = len(truth)
     errors: Dict[int, List[float]] = {h: [] for h in cfg.prediction_horizons}
-    rng = np.random.default_rng(seed)
     any_trial = False
 
     for t0 in range(0, n - cfg.learn_steps, cfg.start_stride):
@@ -414,9 +426,9 @@ def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
         if not eligible or any(p0 is None or p1 is None for p0, p1 in fixes.values()):
             continue
         any_trial = True
-        init = {agent_id: (p0, (p1 - p0) / scenario.dt) for agent_id, (p0, p1) in fixes.items()}
-        spread = cfg.resolve_init_spread(scenario.dt, exact_observations=trace is None)
-        tracker = JointTracker(init, model, filter_kind, cfg, scenario.dt, rng, spread)
+        init = {agent_id: (p0, (p1 - p0) / cfg.params.dt)
+                for agent_id, (p0, p1) in fixes.items()}
+        tracker = JointTracker(init, model, filter_kind, cfg, rng, spread)
         for t in range(t0 + 1, learn_end + 1):
             tracker.step(observed[t])
         available = min(cfg.predict_steps, n - 1 - learn_end)
@@ -443,21 +455,20 @@ def run_prediction_protocol(scenario: Scenario, model: str = "rvo+",
     return PredictionReport(rows)
 
 
-def run_tracking_protocol(scenario: Scenario, trace: Trace,
+def run_tracking_protocol(scenario: Scenario, trace: Optional[Trace] = None,
                           model: str = "rvo+", filter_kind: str = "hpf",
                           cfg: Optional[ProtocolConfig] = None, seed: int = 0) -> TrackReport:
-    """Replay a trace, classify each track at the configured horizons.
+    """Replay observations, classify each track at the configured horizons.
 
     Trackers start from ground-truth positions of the agents present at t0
     and t0 + 1, at every ``start_stride``-th frame, and run for at most
-    ``track_steps`` frames on the observations ``trace[k]`` ({agent id:
-    position, or None while occluded}); each horizon where the agent's
-    ground truth still exists yields one outcome.
+    ``track_steps`` frames on the observations, ground-truth positions or
+    ``trace[k]`` ({agent id: position, or None while occluded}); each
+    horizon where the agent's ground truth still exists yields one outcome.
     """
-    cfg = cfg or ProtocolConfig()
-    truth = [dict(f.entries) for f in scenario.frames]
+    truth, observed, rng, cfg = _protocol_inputs(scenario, trace, cfg, seed)
+    spread = cfg.resolve_init_spread(exact_observations=False)
     n = len(truth)
-    rng = np.random.default_rng(seed)
     outcomes: List[TrackOutcome] = []
 
     for t0 in range(0, n - 1, cfg.start_stride):
@@ -467,13 +478,12 @@ def run_tracking_protocol(scenario: Scenario, trace: Trace,
         init = {}
         for agent_id in agents:
             p0 = truth[t0][agent_id]
-            obs1 = trace[t0 + 1].get(agent_id)
-            init[agent_id] = (p0, np.zeros(2) if obs1 is None else (obs1 - p0) / scenario.dt)
-        spread = cfg.resolve_init_spread(scenario.dt, exact_observations=False)
-        tracker = JointTracker(init, model, filter_kind, cfg, scenario.dt, rng, spread)
+            obs1 = observed[t0 + 1].get(agent_id)
+            init[agent_id] = (p0, np.zeros(2) if obs1 is None else (obs1 - p0) / cfg.params.dt)
+        tracker = JointTracker(init, model, filter_kind, cfg, rng, spread)
         for step in range(1, min(cfg.track_steps, n - 1 - t0) + 1):
             t = t0 + step
-            tracker.step(trace[t])
+            tracker.step(observed[t])
             if step in cfg.tracking_horizons:
                 for agent_id in agents:
                     own = truth[t].get(agent_id)
@@ -507,18 +517,22 @@ class SweepResult:
 def sweep(grid: Dict[str, Sequence], scenarios: Sequence[Scenario],
           objective: str = "mean_error", base: Optional[ProtocolConfig] = None,
           model: str = "rvo+", filter_kind: str = "hpf", seed: int = 0,
-          traces: Optional[Sequence[Trace]] = None) -> SweepResult:
+          traces: Optional[Sequence[Optional[Trace]]] = None) -> SweepResult:
     """Exhaustive search over protocol keys (`PROTOCOL_KEYS`).
 
-    ``mean_error`` minimizes the prediction protocol's overall average;
-    ``st`` maximizes total successful tracks (requires traces).  Ties keep
-    the first combination in enumeration order.  Every combination is
-    validated before the first one runs.
+    A combination runs one protocol per scenario, observing ``traces[i]``, or
+    ground truth where it or ``traces`` is None: ``mean_error`` minimizes the
+    prediction protocol's overall average, ``st`` maximizes successful tracks.
+    Ties keep the first combination in enumeration order.  Every combination,
+    and the number of traces, is validated before the first one runs.
     """
     if objective not in ("mean_error", "st"):
         raise ValueError("objective must be 'mean_error' or 'st'")
     if not scenarios:
         raise ValueError("sweep needs at least one scenario")
+    traces = [None] * len(scenarios) if traces is None else traces
+    if len(traces) != len(scenarios):
+        raise ValueError(f"sweep got {len(traces)} traces for {len(scenarios)} scenarios")
     if "rvo.dt" in grid:
         raise ConfigError("rvo.dt", "a sweep runs at its scenarios' dt and cannot vary it")
     base = base or ProtocolConfig()
@@ -530,17 +544,13 @@ def sweep(grid: Dict[str, Sequence], scenarios: Sequence[Scenario],
     best_score = None
     for combo, cfg in zip(combos, configs):
         scores = []
-        for i, scenario in enumerate(scenarios):
+        for scenario, trace in zip(scenarios, traces):
             if objective == "mean_error":
-                trace = traces[i] if traces else None
-                report = run_prediction_protocol(scenario, model, filter_kind, cfg,
-                                                 seed=seed, trace=trace)
+                report = run_prediction_protocol(scenario, model, filter_kind, cfg, seed, trace)
                 scores.append(report.overall_average())
             else:
-                report = run_tracking_protocol(scenario, traces[i], model, filter_kind,
-                                               cfg, seed=seed)
-                st, _, _ = report.counts()
-                scores.append(-float(st))
+                report = run_tracking_protocol(scenario, trace, model, filter_kind, cfg, seed)
+                scores.append(-float(report.counts()[0]))
         score = float(np.mean(scores))
         rows.append((combo, score))
         if best_score is None or score < best_score:

@@ -284,30 +284,26 @@ def cmd_simulate(cfg: RunConfig, protocol: ProtocolConfig) -> int:
     return EXIT_OK
 
 
-def cmd_predict(cfg: RunConfig, protocol: ProtocolConfig) -> int:
+def _run_protocol(run, cfg: RunConfig, protocol: ProtocolConfig) -> int:
+    """`predict` and `track`: run one protocol on the scenario and its trace, if any."""
     scenario = _load_scenario(cfg, protocol)
     trace = _trace_for(cfg, scenario)
     _prepare_out(cfg)
-    report = run_prediction_protocol(scenario, cfg.model, cfg.filter_kind,
-                                     protocol, seed=cfg.seed, trace=trace)
+    report = run(scenario, trace=trace, model=cfg.model, filter_kind=cfg.filter_kind,
+                 cfg=protocol, seed=cfg.seed)
     report.to_csv(os.path.join(cfg.out, "report.csv"))
     _write_echo(cfg, protocol, scenario.dt)
     print(report.format_table())
     return EXIT_OK
+
+
+# Each looks its protocol up when called, so a replaced module attribute is the one run.
+def cmd_predict(cfg: RunConfig, protocol: ProtocolConfig) -> int:
+    return _run_protocol(run_prediction_protocol, cfg, protocol)
 
 
 def cmd_track(cfg: RunConfig, protocol: ProtocolConfig) -> int:
-    scenario = _load_scenario(cfg, protocol)
-    trace = _trace_for(cfg, scenario)
-    if trace is None:
-        trace = corrupt(scenario, 0.0, (), seed=cfg.seed)
-    _prepare_out(cfg)
-    report = run_tracking_protocol(scenario, trace, cfg.model, cfg.filter_kind,
-                                   protocol, seed=cfg.seed)
-    report.to_csv(os.path.join(cfg.out, "report.csv"))
-    _write_echo(cfg, protocol, scenario.dt)
-    print(report.format_table())
-    return EXIT_OK
+    return _run_protocol(run_tracking_protocol, cfg, protocol)
 
 
 def cmd_sweep(cfg: RunConfig, protocol: ProtocolConfig) -> int:
@@ -317,12 +313,8 @@ def cmd_sweep(cfg: RunConfig, protocol: ProtocolConfig) -> int:
     scenarios = ([_load_scenario(cfg, protocol)] * len(seeds) if cfg.input  # parsed once
                  else [_load_scenario(replace(cfg, seed=seed), protocol) for seed in seeds])
     traces = [_trace_for(replace(cfg, seed=s), scenario) for s, scenario in zip(seeds, scenarios)]
-    if traces[0] is None:  # _trace_for's choice ignores the seed: all traces are None
-        if cfg.sweep_objective == "st":
-            raise ConfigError("sweep.objective", "objective 'st' requires obs.noise or occlusions")
-        traces = None
-        if cfg.input:  # every seed would run the same protocol on the same frames
-            scenarios = scenarios[:1]
+    if cfg.input and traces[0] is None:  # ground truth: every seed runs the same protocol
+        scenarios, traces = scenarios[:1], traces[:1]
     _prepare_out(cfg)
     result = sweep(cfg.sweep_grid, scenarios, cfg.sweep_objective, protocol,
                    model=cfg.model, filter_kind=cfg.filter_kind, seed=cfg.seed,

@@ -147,8 +147,5 @@ def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
     return np.array(out, dtype=np.float64).reshape(n, 6)
 
 
-# No program path calls this.  It stays only because perfbench's tracer wraps
-# `rvo.rvo_step` by name, and every `--trace 1` run fails without it.
-def rvo_step(self_idx: int, states, radii, max_speeds, params: RvoParams) -> np.ndarray:
-    """New velocity of row ``self_idx`` in one `crowd_step` of the state rows."""
-    return crowd_step(states, radii, max_speeds, params)[self_idx, 2:4]
+# perfbench's tracer wraps every attribute holding `crowd_step` under this name.
+rvo_step = crowd_step

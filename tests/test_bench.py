@@ -167,6 +167,16 @@ class TestTrackingProtocol:
         assert [(o.start, o.horizon) for o in report.outcomes] == [
             (0, 16), (0, 24), (32, 16), (32, 24), (48, 16)]
 
+    @pytest.mark.parametrize("kind", ["pf", "hpf"])
+    def test_no_trace_observes_ground_truth_bit_for_bit(self, kind):
+        # Without a trace the trackers see the truth maps: the outcomes of a
+        # zero-noise, occlusion-free trace, whose draws are multiplied by 0.
+        scenario = make_scenario("corridor", 3, seed=5)
+        cfg = ProtocolConfig(hpf=HpfConfig(2, (0.91, 0.09), 60))
+        exact = corrupt(scenario, 0.0, (), seed=4)
+        assert (run_tracking_protocol(scenario, None, "rvo+", kind, cfg, seed=4).outcomes
+                == run_tracking_protocol(scenario, exact, "rvo+", kind, cfg, seed=4).outcomes)
+
     def test_no_reachable_horizon(self):
         scenario = make_scenario("corridor", 2, seed=5, steps=5)
         trace = corrupt(scenario, 0.0, (), seed=0)
@@ -255,6 +265,20 @@ class TestReports:
         assert circle_reports_digest() == self.CIRCLE_REPORT_PIN
 
 
+@pytest.mark.parametrize("frames", [30, 46])
+def test_trace_of_another_length_is_rejected_naming_both(frames):
+    scenario = make_scenario("corridor", 3, seed=0)
+    trace = corrupt(scenario, 0.1, (), seed=0)
+    trace = (trace + trace)[:frames]
+    assert (scenario.n_frames, len(trace)) == (45, frames)
+    cfg = ProtocolConfig(hpf=HpfConfig(1, (1.0,), 20))
+    message = f"trace has {frames} frames, scenario '{scenario.name}' has 45"
+    with pytest.raises(ValueError, match=message):
+        run_prediction_protocol(scenario, "lin", "pf", cfg, seed=0, trace=trace)
+    with pytest.raises(ValueError, match=message):
+        run_tracking_protocol(scenario, trace, "lin", "pf", cfg, seed=0)
+
+
 def test_protocols_step_at_the_scenarios_dt():
     # The scenario is the run's clock: rvo.dt only sets a generated scenario's step.
     scenario = make_scenario("crossing", 2, 1, dt=0.2)
@@ -270,7 +294,7 @@ def four_walkers(model, body=BodySpec()):
     fixes = {0: ([-3.0, 0.1], [1.2, 0.0]), 1: ([3.0, -0.1], [-1.2, 0.0]),
              2: ([0.2, -3.0], [0.0, 1.2]), 3: ([-0.2, 3.0], [0.0, -1.2])}
     cfg = ProtocolConfig(hpf=HpfConfig(particles_m=50), body=body)
-    return JointTracker(fixes, model, "hpf", cfg, 0.4, np.random.default_rng(0),
+    return JointTracker(fixes, model, "hpf", cfg, np.random.default_rng(0),
                         init_spread=(0.05, 0.1))
 
 
@@ -337,6 +361,26 @@ class TestSweep:
         assert result.rows == [({"bench.threshold": 1e-9}, 0.0),
                                ({"bench.threshold": 0.5}, -float(st))]
         assert result.best == {"bench.threshold": 0.5}
+
+    def test_st_without_traces_tracks_ground_truth(self):
+        scenario = make_scenario("corridor", 2, seed=2, steps=30)
+        cfg = ProtocolConfig(hpf=HpfConfig(order_k=1, pi=(1.0,), particles_m=40))
+        result = sweep({"bench.threshold": [0.5]}, [scenario], "st", cfg,
+                       model="rvo+", filter_kind="pf", seed=1)
+        st, _, _ = run_tracking_protocol(scenario, None, "rvo+", "pf", cfg, seed=1).counts()
+        assert st > 0
+        assert result.rows == [({"bench.threshold": 0.5}, -float(st))]
+
+    @pytest.mark.parametrize("objective", ["mean_error", "st"])
+    def test_fewer_traces_than_scenarios_are_rejected_before_any_run(self, objective,
+                                                                     monkeypatch):
+        from crowdtrack import bench
+        monkeypatch.setattr(bench, "run_prediction_protocol", lambda *a, **k: pytest.fail("ran"))
+        monkeypatch.setattr(bench, "run_tracking_protocol", lambda *a, **k: pytest.fail("ran"))
+        scenarios = [linear_scenario(), linear_scenario()]
+        with pytest.raises(ValueError, match="sweep got 1 traces for 2 scenarios"):
+            sweep({"bench.threshold": [0.5]}, scenarios, objective,
+                  traces=[corrupt(scenarios[0], 0.1, (), seed=0)])
 
     def test_more_observation_noise_never_helps_tracking(self):
         # Averaged over 100 seeds, raising the observation noise must not

@@ -123,6 +123,21 @@ class TestTrack:
             st, ids, lost, n = (int(p) for p in parts[4:8])
             assert st == n and ids == 0 and lost == 0
 
+    def test_runs_one_tracking_protocol_on_ground_truth_without_noise(self, tmp_path,
+                                                                       monkeypatch):
+        calls = []
+        original = cli.run_tracking_protocol
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["trace"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "corrupt", lambda *a, **k: pytest.fail("drew a trace"))
+        monkeypatch.setattr(cli, "run_tracking_protocol", counted)
+        assert run(["track", "--kind", "corridor", "--agents", 2, "--seed", 4,
+                    "--out", tmp_path / "t", "--set", "hpf.m=20"]) == 0
+        assert calls == [None]
+
     def test_bad_pi_exits_2_naming_pi(self, tmp_path, capsys):
         code = run(["track", "--kind", "corridor", "--agents", 2, "--out", tmp_path / "x",
                     "--set", "hpf.pi=0.7,0.1"])
@@ -229,6 +244,14 @@ class TestSweep:
             best.append(capsys.readouterr().out.splitlines()[0])
         assert best[0] == best[1]
 
+    def test_st_objective_without_noise_tracks_ground_truth(self, tmp_path):
+        out = tmp_path / "st"
+        assert run(self.LIN_SWEEP + ["--set", "sweep.objective=st",
+                                     "--set", "sweep.grid.bench.threshold=1e-9;0.5",
+                                     "--out", out]) == 0
+        rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+        assert float(rows[0][1]) == 0.0 > float(rows[1][1])
+
     @pytest.mark.parametrize("key", ["nope", "obs.noise"])
     def test_grid_takes_protocol_keys_only(self, tmp_path, capsys, key):
         setting = f"sweep.grid.{key}=0.1;0.2"
@@ -251,6 +274,8 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (TRACK + ["--set", "bench.learn_steps=-3"], 2, "bench.learn_steps"),
     (TRACK + ["--set", "bench.threshold=nan"], 2, "bench.threshold"),
     (TRACK + ["--set", "bench.track_steps=-1"], 2, "bench.track_steps"),
+    (PREDICT + ["--set", "bench.predict_steps=0"], 2, "bench.predict_steps"),
+    (PREDICT + ["--set", "bench.predict_steps=-2"], 2, "bench.predict_steps"),
     (TRACK + ["--set", "hpf.pi=nan,nan"], 2, "hpf.pi"),
     (TRACK + ["--set", "hpf.m=0"], 2, "hpf.m"),
     (TRACK + ["--set", "rvo.dt=-1"], 2, "rvo.dt"),
@@ -279,7 +304,6 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (TRACK + ["--set", "bench.tracking_horizons="], 2, "bench.tracking_horizons"),
     (SWEEP + ["--set", "sweep.seeds="], 2, "sweep.seeds"),
     (SWEEP + ["--set", "sweep.grid.rvo.dt=0.2;0.4"], 2, "rvo.dt"),
-    (SWEEP + ["--set", "sweep.objective=st"], 2, "sweep.objective"),
     (["predict", "--seed", 3], 2, "input"),
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -1], 2, "steps"),
     (["predict", "--kind", "crossing", "--agents", 2, "--steps", -5], 2, "steps"),

@@ -205,8 +205,9 @@ def filled_tracker(k, model, m=24, frames=4):
     fixes = {0: ([0.0, 0.0], [1.0, 0.0]), 1: ([2.0, 0.3], [-1.0, 0.0]),
              2: ([1.0, -1.0], [0.0, 1.0])}
     pi = (1.0,) if k == 1 else (0.8, 0.2) if k == 2 else (0.7, 0.2, 0.1)
-    tracker = JointTracker(fixes, model, "hpf", ProtocolConfig(hpf=HpfConfig(k, pi, m)), DT,
-                           np.random.default_rng(5), init_spread=(0.05, 0.1))
+    cfg = ProtocolConfig(hpf=HpfConfig(k, pi, m), params=RvoParams(dt=DT))
+    tracker = JointTracker(fixes, model, "hpf", cfg, np.random.default_rng(5),
+                           init_spread=(0.05, 0.1))
     for t in range(frames):
         tracker.step({i: np.asarray(p) + 0.4 * (t + 1) * np.asarray(v)
                       for i, (p, v) in fixes.items()})
