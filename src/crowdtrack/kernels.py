@@ -13,7 +13,11 @@ rollout's one row per agent) converts the crowd once, builds each in-range
 pair's cone once with the scalar :func:`pair_shift` (mirrored for the pair's
 second agent) and solves each agent's program with the scalar
 :func:`solve_velocity_kernel`, bitwise as :func:`rvo_velocity` per agent; the
-row kernel likewise calls the scalar :func:`lp3` on its infeasible rows.
+row kernel likewise calls the scalar :func:`lp3` on its infeasible rows.  A
+batch with no neighbour within ``neighbor_radius`` of any row, or with no
+neighbours, builds no cone and runs no LP loop: each velocity is the desired
+one clipped to ``max_speed``, which is :func:`rvo_velocity`'s answer with no
+half-planes.
 
 Input domain: finite inputs whose lengths, speeds and radii are 0 or have
 magnitudes whose squares stay normal floats, for example within [1e-100, 1e100].
@@ -364,8 +368,9 @@ def rvo_velocity(px, py, vx, vy, des_x, des_y, radius, max_speed,
 # same predicate, over the same expressions in the same operand order, so each
 # element is computed with exactly the scalar code's floating-point operations.
 # Arrays are (rows, neighbours), or (2, rows, neighbours) for vectors.  Neighbours
-# out of range for every row are dropped before the cone is built; the remaining
-# out-of-range slots are masked.  Temporaries die at their last use.
+# out of range for every row are dropped before the cone is built, and a batch
+# left with none returns no planes; the remaining out-of-range slots are
+# masked.  Temporaries die at their last use.
 
 def _vo_closest_boundary_rows(x, radius_sum, tau, v):
     """Elementwise :func:`vo_closest_boundary` of x and v, which it only reads:
@@ -453,6 +458,8 @@ def _halfplane_rows(states, radius, nbr_pos, nbr_vel, nbr_rad, tau, dt, neighbor
         if not live.all():  # no plane for a neighbour out of range for every row
             rel, dist2, in_range = np.compress(live, rel, axis=2), dist2[:, live], in_range[:, live]
             nbr_vel, nbr_rad = nbr_vel[live], nbr_rad[live]
+    if not rel.shape[2]:  # no neighbour in range of any row: no plane, and lp2 only clips
+        return rel[0], rel[0], rel[0], rel[0], in_range
     r_sum = radius + nbr_rad
     rv = np.subtract(v, nbr_vel.T[:, None, :], out=np.empty(rel.shape))
     hit = np.flatnonzero(dist2 < r_sum * r_sum)  # overlapping pairs: the shift replaces the cone
@@ -532,9 +539,11 @@ def rvo_velocity_batch(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
     rows whose program is infeasible, on their compacted constraints.
     Dropping a neighbour out of range for every row changes no bit: the LPs
     skip out-of-range slots, and lp3's start, the count of in-range slots
-    before the failing one, stays the same.  The filters run every particle
-    batch through this, whatever its size; `crowdtrack.rvo.crowd_step` calls
-    :func:`rvo_velocity` itself.
+    before the failing one, stays the same.  When none is left, or there
+    were none, there is no half-plane: no cone is built, lp2 only clips the
+    desired velocity to ``max_speed`` and no row reaches lp1 or lp3.  The
+    filters run every particle batch through this, whatever its size;
+    `crowdtrack.rvo.crowd_step` takes the scalar kernels.
     """
     with np.errstate(all="ignore"):
         px, py, nx, ny, in_range = _halfplane_rows(states, radius, nbr_pos, nbr_vel,
@@ -542,12 +551,13 @@ def rvo_velocity_batch(states, radius, max_speed, nbr_pos, nbr_vel, nbr_rad,
         fail, res_x, res_y = _lp2_rows(px, py, nx, ny, in_range, max_speed,
                                        states[:, 4], states[:, 5])
     bad = np.flatnonzero(fail < px.shape[1])
-    for r, keep, f, bx, by, bnx, bny in zip(bad.tolist(), in_range[bad].tolist(), fail[bad].tolist(),
-                                            px[bad].tolist(), py[bad].tolist(),
-                                            nx[bad].tolist(), ny[bad].tolist()):
-        points = [[x, y] for x, y, k in zip(bx, by, keep) if k]
-        normals = [[x, y] for x, y, k in zip(bnx, bny, keep) if k]
-        res_x[r], res_y[r] = lp3(points, normals, sum(keep[:f]), float(max_speed),
-                                 float(res_x[r]), float(res_y[r]))
+    if bad.size:  # rows whose program is infeasible
+        for r, keep, f, bx, by, bnx, bny in zip(bad.tolist(), in_range[bad].tolist(), fail[bad].tolist(),
+                                                px[bad].tolist(), py[bad].tolist(),
+                                                nx[bad].tolist(), ny[bad].tolist()):
+            points = [[x, y] for x, y, k in zip(bx, by, keep) if k]
+            normals = [[x, y] for x, y, k in zip(bnx, bny, keep) if k]
+            res_x[r], res_y[r] = lp3(points, normals, sum(keep[:f]), float(max_speed),
+                                     float(res_x[r]), float(res_y[r]))
     out_vel[:, 0] = res_x
     out_vel[:, 1] = res_y

@@ -7,7 +7,8 @@ from crowdtrack import (BodySpec, HpfConfig, NoiseSpec, RvoParams, Scenario,
                         classify_track, corrupt, crowd_step, make_scenario,
                         parse_trajectories, run_prediction_protocol,
                         run_tracking_protocol, sweep)
-from crowdtrack.bench import JointTracker, NoEligibleTrials, ProtocolConfig, configure
+from crowdtrack.bench import (GaussianPositionLikelihood, JointTracker, NoEligibleTrials,
+                              ProtocolConfig, configure)
 from crowdtrack.data import Frame
 
 
@@ -277,6 +278,21 @@ def test_trace_of_another_length_is_rejected_naming_both(frames):
         run_prediction_protocol(scenario, "lin", "pf", cfg, seed=0, trace=trace)
     with pytest.raises(ValueError, match=message):
         run_tracking_protocol(scenario, trace, "lin", "pf", cfg, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-151, 1e151, 1e300, 0.0, np.inf, np.nan])
+def test_sigma_obs_whose_square_is_not_normal_is_rejected(sigma):
+    # sigma**2 underflows to 0 or overflows, and every log-likelihood would be nan.
+    for make in (GaussianPositionLikelihood, lambda s: ProtocolConfig(sigma_obs=s)):
+        with pytest.raises(ValueError, match=r"^sigma_obs must be in \[1e-150, 1e\+150\] m"):
+            make(sigma)
+
+
+@pytest.mark.parametrize("sigma", [1e-150, 1e150])
+def test_sigma_obs_at_its_bounds_scores_finite(sigma):
+    ProtocolConfig(sigma_obs=sigma)
+    states = np.array([[0.0, 0.0], [3.0, -4.0], [1e4, 0.0]])
+    assert np.all(np.isfinite(GaussianPositionLikelihood(sigma).log_likelihood([0.5, 0.5], states)))
 
 
 def test_protocols_step_at_the_scenarios_dt():

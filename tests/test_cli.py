@@ -269,6 +269,9 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
 @pytest.mark.parametrize("argv, code, key", [
     (TRACK + ["--set", "obs.sigma=0"], 2, "obs.sigma"),
     (TRACK + ["--set", "obs.sigma=inf"], 2, "obs.sigma"),
+    # The likelihood's variance sigma**2 would underflow to 0 or overflow.
+    (TRACK + ["--set", "obs.sigma=1e-300"], 2, "obs.sigma"),
+    (TRACK + ["--set", "obs.sigma=1e300"], 2, "obs.sigma"),
     (TRACK + ["--set", "noise.sigma_velocity=nan"], 2, "noise.sigma_velocity"),
     (TRACK + ["--set", "bench.start_stride=0"], 2, "bench.start_stride"),
     (TRACK + ["--set", "bench.learn_steps=-3"], 2, "bench.learn_steps"),

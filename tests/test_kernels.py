@@ -120,6 +120,34 @@ def test_batch_equals_scalar_on_edge_branches():
                     tau, DT, CUTOFF)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_batch_without_a_neighbour_in_range_only_clips(monkeypatch, n):
+    """With no neighbour, or every neighbour beyond the cutoff of every row, no cone
+    is built and no row reaches lp1: each velocity is the desired one clipped to
+    max_speed, bit for bit the scalar kernel's."""
+    def unreachable(*args):
+        raise AssertionError("no half-plane expected")
+
+    monkeypatch.setattr(kernels, "_vo_closest_boundary_rows", unreachable)
+    monkeypatch.setattr(kernels, "_lp1_rows", unreachable)
+    states, args = _random_instance(np.random.default_rng(29), 300, n)
+    nbr_pos = np.array([[8.0, -8.0], [-6.0, 1.0], [0.0, 3.0 + 1.5 + 1e-9]])[:n]
+    args = args[:2] + (nbr_pos,) + args[3:]
+    assert np.all(np.abs(states[:, :2]) <= 1.5)  # each neighbour is beyond CUTOFF = 3 of every row
+    max_speed = args[1]
+    speed = np.hypot(states[:, 4], states[:, 5])
+    assert np.any(speed > max_speed) and np.any(speed < max_speed)
+    out = np.empty((300, 2))
+    kernels.rvo_velocity_batch(states, *args, out)
+    assert out.tobytes() == _scalar(states, *args)[0].tobytes()
+    for (des_x, des_y), vel in zip(states[:, 4:].tolist(), out.tolist()):
+        norm2 = des_x * des_x + des_y * des_y
+        if norm2 > max_speed * max_speed:
+            scale = max_speed / math.sqrt(norm2)
+            des_x, des_y = des_x * scale, des_y * scale
+        assert vel == [des_x, des_y]
+
+
 def test_batch_equals_scalar_on_a_tracking_trial(monkeypatch):
     """Every kernel call of criterion 7's HPF trial on seed 0."""
     calls = []
