@@ -100,10 +100,11 @@ class PredictionReport:
                          f"{r.mean_error_m:.6f},{r.n_trials}\n")
 
     def format_table(self) -> str:
-        lines = [f"{'dataset':<20}{'model':<8}{'filter':<8}{'L':>4}{'mean err (m)':>14}{'trials':>8}"]
+        lines = [f"{'dataset':<19} {'model':<7} {'filter':<7} {'L':>4} {'mean err (m)':>13} "
+                 f"{'trials':>7}"]
         for r in self.rows:
-            lines.append(f"{r.dataset:<20}{r.model:<8}{r.filter_kind:<8}{r.horizon:>4}"
-                         f"{r.mean_error_m:>14.3f}{r.n_trials:>8}")
+            lines.append(f"{r.dataset:<19} {r.model:<7} {r.filter_kind:<7} {r.horizon:>4} "
+                         f"{r.mean_error_m:>13.3f} {r.n_trials:>7}")
         return "\n".join(lines)
 
 
@@ -146,11 +147,12 @@ class TrackReport:
                          f"{st},{ids},{lost},{st + ids + lost}\n")
 
     def format_table(self) -> str:
-        lines = [f"{'dataset':<20}{'model':<8}{'filter':<8}{'N':>4}{'ST':>6}{'IDS':>6}{'lost':>6}"]
+        lines = [f"{'dataset':<19} {'model':<7} {'filter':<7} {'N':>4} {'ST':>5} {'IDS':>5} "
+                 f"{'lost':>5}"]
         for n in self.horizons:
             st, ids, lost = self.counts(n)
-            lines.append(f"{self.dataset:<20}{self.model:<8}{self.filter_kind:<8}{n:>4}"
-                         f"{st:>6}{ids:>6}{lost:>6}")
+            lines.append(f"{self.dataset:<19} {self.model:<7} {self.filter_kind:<7} {n:>4} "
+                         f"{st:>5} {ids:>5} {lost:>5}")
         return "\n".join(lines)
 
 

@@ -4,9 +4,12 @@ Scenarios are ground-plane trajectories sampled at a fixed interval,
 typically 0.4 s.  The canonical on-disk format (``csv-fixy``) is a CSV with
 header ``frame,id,x,y`` preceded by optional ``# key = value`` metadata
 lines; the ETH-style ``obsmat`` layout is supported read-only.  Synthetic
-scenarios are produced by simulating avoidance agents toward assigned goals,
-so they carry known ground-truth desired velocities; a seed whose simulation
-brings two agents closer than their radii allow is rejected.
+scenarios (`make_scenario`) are produced by simulating avoidance agents toward
+assigned goals, so they carry known ground-truth desired velocities.  The kind
+sets the simulation: the dense circle runs four substeps per dt and re-aims
+its agents at their goals, the sparse kinds step once per dt on fixed desired
+velocities.  The clock is checked before anything divides by it, and a seed
+whose simulation brings two agents closer than their radii allow is rejected.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .motion import BodySpec
-from .rvo import RvoParams, as_vec, check_time, crowd_step
+from .rvo import RvoParams, check_time, crowd_step
 
 #: Preferred walking speed of generated agents (m/s), recorded in each scenario's meta.
 PREF_SPEED = 1.3
@@ -57,8 +60,7 @@ class OverlappingScenario(ValueError):
 
 
 class NonFiniteMotion(ValueError):
-    """A dt outside `rvo.check_time`'s range, or a position or frame-to-frame
-    displacement / dt that is not finite."""
+    """A position or frame-to-frame displacement / dt that is not finite."""
 
 
 @dataclass
@@ -80,7 +82,7 @@ class Frame:
 
 @dataclass
 class Scenario:
-    """Timed ground-plane trajectory set at fixed dt."""
+    """Timed ground-plane trajectory set at fixed dt (see `rvo.check_time`)."""
 
     dt: float
     frames: List[Frame]
@@ -88,8 +90,7 @@ class Scenario:
     meta: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (self.dt > 0.0):
-            raise ValueError("dt must be > 0")
+        check_time("dt", self.dt)
         times = [f.time_index for f in self.frames]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise NonMonotoneFrames("frame time indices must be strictly increasing")
@@ -233,15 +234,11 @@ def _parse_obsmat(text: str, name: str) -> Scenario:
 
 
 def _check_finite_motion(dt: float, frames: Sequence[Tuple[int, Dict[int, np.ndarray]]]):
-    """Raise NonFiniteMotion on a dt that `rvo.check_time` rejects, a non-finite
-    position, or a non-finite displacement / dt between consecutive frames.
+    """Raise NonFiniteMotion on a non-finite position, or a non-finite
+    displacement / dt between consecutive frames.
 
     ``frames`` holds (frame time index, {agent id: position}) pairs in order.
     """
-    try:
-        check_time("dt", dt)
-    except ValueError as exc:
-        raise NonFiniteMotion(str(exc)) from None
     before, previous = None, {}
     with np.errstate(over="ignore"):
         for time_index, positions in frames:
@@ -260,9 +257,8 @@ def _check_finite_motion(dt: float, frames: Sequence[Tuple[int, Dict[int, np.nda
 def parse_trajectories(path, fmt: str = "csv-fixy") -> Scenario:
     """Load a trajectory file into a canonical Scenario.
 
-    Raises ``ValueError`` on malformed rows, and `NonFiniteMotion` on a dt
-    outside `rvo.check_time`'s range or a frame-to-frame velocity that is not
-    finite.
+    Raises ``ValueError`` on malformed rows or a dt outside `rvo.check_time`'s
+    range, and `NonFiniteMotion` on a frame-to-frame velocity that is not finite.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -310,51 +306,6 @@ def _goal_desired_velocities(positions, goals, dt):
     return vel
 
 
-def simulate_goal_driven(starts, goals, steps: int, dt: float,
-                         body: BodySpec = BodySpec(), substeps: int = 4,
-                         fixed_desired: bool = False) -> np.ndarray:
-    """Simulate avoidance agents walking toward fixed goals at `PREF_SPEED`.
-
-    Returns positions with shape (steps + 1, n, 2) sampled at dt.  The
-    simulation itself runs at dt/substeps with default `RvoParams` so dense
-    crossings stay collision-free even when the recording interval is coarse.
-
-    With ``fixed_desired`` each agent keeps the constant desired velocity
-    aimed from its start at its goal and walks on past it; the default
-    re-aims every step and decays the speed near arrival so agents stop at
-    their goals.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    sim_dt = dt / substeps
-    try:
-        params = RvoParams(dt=sim_dt)
-    except ValueError as exc:
-        raise ValueError(f"dt / {substeps} substeps: {exc}") from None
-    starts = [as_vec(s, "start") for s in starts]
-    goals = [as_vec(g, "goal") for g in goals]
-    n = len(starts)
-    if len(goals) != n:
-        raise ValueError("need one goal per start")
-    goals = np.array(goals).reshape(n, 2)
-    radii = np.full(n, body.radius)
-    max_speeds = np.full(n, body.max_speed)
-    states = np.zeros((n, 6))
-    states[:, 0:2] = np.array(starts).reshape(n, 2)
-    states[:, 4:6] = _goal_desired_velocities(states[:, 0:2], goals, sim_dt)
-    out = np.empty((steps + 1, n, 2))
-    out[0] = states[:, 0:2]
-    for t in range(steps):
-        for _ in range(substeps):
-            if not fixed_desired:
-                states[:, 4:6] = _goal_desired_velocities(states[:, 0:2], goals, sim_dt)
-            states = crowd_step(states, radii, max_speeds, params)
-        out[t + 1] = states[:, 0:2]
-    return out
-
-
 def min_pairwise_separation(scenario: Scenario) -> float:
     """Smallest center distance between any two agents over all frames."""
     best = np.inf
@@ -369,14 +320,6 @@ def min_pairwise_separation(scenario: Scenario) -> float:
     return best
 
 
-def _scenario_from_rollout(positions: np.ndarray, goals, dt: float, name: str) -> Scenario:
-    frames = [Frame(t, [(i, positions[t, i].copy()) for i in range(positions.shape[1])])
-              for t in range(positions.shape[0])]
-    meta = {f"goal.{i}": f"{float(g[0])!r},{float(g[1])!r}" for i, g in enumerate(goals)}
-    meta["pref_speed"] = repr(PREF_SPEED)
-    return Scenario(dt=dt, frames=frames, name=name, meta=meta)
-
-
 def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = None,
                   dt: float = 0.4, body: BodySpec = BodySpec()) -> Scenario:
     """Deterministic synthetic scenario of a given kind.
@@ -386,16 +329,32 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
     circle    -- agents on a circle exchanging to antipodal goals
     corridor  -- one platoon on closely spaced lanes, same direction
 
-    Agents walk at `PREF_SPEED`.  Sparse kinds simulate directly at dt (the
-    dynamics then match a predictor stepping at the annotation rate); the
-    dense circle exchange runs four substeps per dt to stay collision-free.
-    Raises ValueError when the step count, given or the kind's default, exceeds
-    `MAX_STEPS`, and :class:`OverlappingScenario` when two agents still come closer
-    than ``2 * body.radius - 1e-6`` in a recorded frame (circle-8 seeds 18,
-    106 and 12005 do).
+    Avoidance agents with default `RvoParams` walk at `PREF_SPEED` toward
+    their goals, recorded every dt; the kind sets the simulation.  Sparse kinds
+    step directly at dt (the dynamics then match a predictor stepping at the
+    annotation rate) and keep the desired velocity aimed from each start at
+    its goal, so walkers pass through.  The dense circle exchange runs four
+    substeps per dt to stay collision-free and re-aims every substep, slowing
+    near arrival, so agents stop at their goals.
+
+    The clock is checked first: a dt whose simulation step (dt / 4 for the
+    circle) fails `rvo.check_time` raises ValueError starting with ``dt``.  A
+    negative step count, or one above `MAX_STEPS` (given or the kind's
+    default), raises ValueError before anything is simulated.  Raises
+    :class:`OverlappingScenario` when two agents still come closer than
+    ``2 * body.radius - 1e-6`` in a recorded frame (circle-8 seeds 18, 106
+    and 12005 do).
     """
     if n_agents < 1:
         raise ValueError("n_agents must be >= 1")
+    circle = kind == "circle"
+    substeps = 4 if circle else 1
+    try:
+        params = RvoParams(dt=dt / substeps)
+    except ValueError as exc:
+        if not circle:
+            raise
+        raise ValueError(f"dt / {substeps} substeps: {exc}") from None
     rng = np.random.default_rng(seed)
     starts: List[np.ndarray] = []
     goals: List[np.ndarray] = []
@@ -433,8 +392,8 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
         angles = angles + rng.uniform(-0.05, 0.05, size=n_agents)
         # Radial stagger desynchronizes arrivals at the center, which keeps
         # the symmetric exchange from gridlocking.
-        radii = radius + rng.uniform(-0.3, 0.3, size=n_agents)
-        for a, r in zip(angles, radii):
+        start_radii = radius + rng.uniform(-0.3, 0.3, size=n_agents)
+        for a, r in zip(angles, start_radii):
             starts.append(r * np.array([np.cos(a), np.sin(a)]))
             goals.append(-radius * np.array([np.cos(a), np.sin(a)]))
         default_steps = int(np.ceil(3.0 * radius / (PREF_SPEED * dt)))
@@ -452,15 +411,29 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
         if default_steps > MAX_STEPS:
             raise ValueError(f"dt = {dt!r} s gives {default_steps} steps, above {MAX_STEPS}")
         steps = default_steps
+    elif steps < 0:
+        raise ValueError("steps must be >= 0")
     elif steps > MAX_STEPS:
         raise ValueError(f"steps must be <= {MAX_STEPS}, got {steps}")
-    # Sparse kinds keep a constant desired velocity (walkers pass through);
-    # the circle exchange needs goal re-aiming to actually arrive.
-    fixed_desired = kind != "circle"
-    positions = simulate_goal_driven(starts, goals, steps, dt, body,
-                                     substeps=4 if kind == "circle" else 1,
-                                     fixed_desired=fixed_desired)
-    scenario = _scenario_from_rollout(positions, goals, dt, f"{kind}-{n_agents}-{seed}")
+    goals = np.array(goals)
+    radii = np.full(n_agents, body.radius)
+    max_speeds = np.full(n_agents, body.max_speed)
+    states = np.zeros((n_agents, 6))
+    states[:, 0:2] = starts
+    states[:, 4:6] = _goal_desired_velocities(states[:, 0:2], goals, params.dt)
+    positions = np.empty((steps + 1, n_agents, 2))
+    positions[0] = states[:, 0:2]
+    for t in range(steps):
+        for _ in range(substeps):
+            if circle:
+                states[:, 4:6] = _goal_desired_velocities(states[:, 0:2], goals, params.dt)
+            states = crowd_step(states, radii, max_speeds, params)
+        positions[t + 1] = states[:, 0:2]
+    frames = [Frame(t, [(i, positions[t, i].copy()) for i in range(n_agents)])
+              for t in range(steps + 1)]
+    meta = {f"goal.{i}": f"{float(g[0])!r},{float(g[1])!r}" for i, g in enumerate(goals)}
+    meta["pref_speed"] = repr(PREF_SPEED)
+    scenario = Scenario(dt=dt, frames=frames, name=f"{kind}-{n_agents}-{seed}", meta=meta)
     # RVO is collision-free only while every velocity program is feasible;
     # the least-violation fallback can let a dense crossing overlap.
     gap = min_pairwise_separation(scenario)

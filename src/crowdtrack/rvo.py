@@ -39,16 +39,6 @@ MIN_TIME = 1e-6
 MAX_TIME = 1e6
 
 
-def as_vec(value, name="vector"):
-    """Coerce to a finite float64 2-vector."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (2,):
-        raise ValueError(f"{name} must have shape (2,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr}")
-    return arr
-
-
 def check_time(name: str, value: float):
     """Raise ValueError, naming ``name``, unless `MIN_TIME` <= ``value`` <= `MAX_TIME`."""
     if not (MIN_TIME <= value <= MAX_TIME):

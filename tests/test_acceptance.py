@@ -17,7 +17,6 @@ from crowdtrack import (BodySpec, CrowdContext, GaussianPositionLikelihood,
                         make_scenario, parse_trajectories, pf_step,
                         run_prediction_protocol, run_tracking_protocol)
 from crowdtrack.bench import ProtocolConfig
-from crowdtrack.data import simulate_goal_driven
 from crowdtrack.filters import FilterHistory
 
 from helpers import kalman_filter_lin, project_oracle, random_lp_instance

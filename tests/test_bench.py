@@ -8,7 +8,8 @@ from crowdtrack import (BodySpec, HpfConfig, NoiseSpec, RvoParams, Scenario,
                         parse_trajectories, run_prediction_protocol,
                         run_tracking_protocol, sweep)
 from crowdtrack.bench import (GaussianPositionLikelihood, JointTracker, NoEligibleTrials,
-                              ProtocolConfig, configure)
+                              PredictionReport, PredictionRow, ProtocolConfig, TrackOutcome,
+                              TrackReport, configure)
 from crowdtrack.data import Frame
 
 
@@ -264,6 +265,27 @@ class TestReports:
 
     def test_dense_circle_reports_are_bitwise_pinned(self):
         assert circle_reports_digest() == self.CIRCLE_REPORT_PIN
+
+    @staticmethod
+    def tables(dataset, horizon, error):
+        prediction = PredictionReport([PredictionRow(dataset, "rvo+", "hpf", horizon, error, 12)])
+        tracking = TrackReport([TrackOutcome(0, 0, horizon, kind, 0.1)
+                                for kind in ("success", "success", "success", "lost")],
+                               dataset, "rvo+", "hpf")
+        return prediction.format_table(), tracking.format_table()
+
+    def test_tables_keep_a_space_between_columns(self):
+        prediction, tracking = self.tables("corridor-3-18446744073709551615", 12345, 5.7e20)
+        for table, columns in ((prediction, 6), (tracking, 7)):
+            for row in table.splitlines()[1:]:
+                assert len(row.split()) == columns, row
+
+    def test_tables_of_values_that_fit_are_unchanged(self):
+        assert self.tables("corridor-3-5", 5, 0.123456) == (
+            "dataset             model   filter     L  mean err (m)  trials\n"
+            "corridor-3-5        rvo+    hpf        5         0.123      12",
+            "dataset             model   filter     N    ST   IDS  lost\n"
+            "corridor-3-5        rvo+    hpf        5     3     0     1")
 
 
 @pytest.mark.parametrize("frames", [30, 46])

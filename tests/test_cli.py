@@ -44,7 +44,7 @@ class TestSimulate:
                                             (["--steps", 10_001], "steps")])
     def test_too_many_steps_exit_2_before_simulating(self, tmp_path, capsys, monkeypatch,
                                                      extra, key):
-        monkeypatch.setattr(data, "simulate_goal_driven", lambda *a, **k: pytest.fail("ran"))
+        monkeypatch.setattr(data, "crowd_step", lambda *a, **k: pytest.fail("ran"))
         assert run(["simulate", "--kind", "circle", "--agents", 8, *extra,
                     "--out", tmp_path / "x"]) == 2
         assert f"'{key}'" in capsys.readouterr().err

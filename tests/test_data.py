@@ -6,8 +6,8 @@ import pytest
 from crowdtrack import (BodySpec, corrupt, data, make_scenario, parse_trajectories,
                         write_trajectories)
 from crowdtrack.data import (MAX_EMPTY_FRAMES, MAX_STEPS, EmptyFile, MalformedRow,
-                             NonMonotoneFrames, OverlappingScenario, min_pairwise_separation,
-                             simulate_goal_driven)
+                             NonMonotoneFrames, OverlappingScenario, Scenario,
+                             min_pairwise_separation)
 
 
 def positions_digest(cases):
@@ -162,6 +162,12 @@ def test_bad_row_is_malformed_at_its_line(tmp_path, fmt, header, row, frame, x, 
     assert err.value.line_number == 3
 
 
+@pytest.mark.parametrize("dt", [0.0, 1e-300, 1e300, np.inf, np.nan])
+def test_scenario_rejects_a_clock_outside_the_time_range(dt):
+    with pytest.raises(ValueError, match="^dt must be in "):
+        Scenario(dt=dt, frames=[])
+
+
 class TestMakeScenario:
     def test_same_seed_identical(self):
         a = make_scenario("circle", 6, seed=9, steps=30)
@@ -221,17 +227,24 @@ class TestMakeScenario:
 
     def test_step_count_is_bounded_before_simulating(self, monkeypatch):
         # The circle's default count grows as 1 / dt: 4e-6 s would give 4,153,847 steps.
-        monkeypatch.setattr(data, "simulate_goal_driven", lambda *a, **k: pytest.fail("ran"))
+        monkeypatch.setattr(data, "crowd_step", lambda *a, **k: pytest.fail("ran"))
         with pytest.raises(ValueError, match="^steps must be <= "):
             make_scenario("corridor", 2, 0, steps=MAX_STEPS + 1)
         with pytest.raises(ValueError, match="^dt = 4e-06 s gives 4153847 steps"):
             make_scenario("circle", 8, 3, dt=4e-6)
+        # The clock is checked before the circle's default count divides by it.
+        for kind in ("circle", "corridor"):
+            for dt in (0.0, -0.4, np.nan, 1e-300):
+                with pytest.raises(ValueError, match="^dt"):
+                    make_scenario(kind, 3, 0, dt=dt)
+            with pytest.raises(ValueError, match="^steps must be >= 0"):
+                make_scenario(kind, 3, 0, steps=-1)
 
-    def test_goals_are_checked(self):
-        with pytest.raises(ValueError):
-            simulate_goal_driven([[0.0, 0.0]], [[np.nan, 1.0]], steps=2, dt=0.4)
-        with pytest.raises(ValueError):
-            simulate_goal_driven([[0.0, 0.0]], [], steps=2, dt=0.4)
+    def test_circle_clock_error_names_its_substeps(self):
+        with pytest.raises(ValueError, match=r"^dt / 4 substeps: dt must be in "):
+            make_scenario("circle", 8, 3, dt=3e-6)
+        with pytest.raises(ValueError, match=r"^dt must be in "):
+            make_scenario("head_on", 2, 0, dt=1e-300)
 
 
 class TestCorrupt:
