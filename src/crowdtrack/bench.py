@@ -23,24 +23,10 @@ import numpy as np
 from .data import NonFiniteMotion, Scenario, Trace
 from .filters import FilterHistory, HpfConfig, ParticleSet, hpf_step, init_particles
 from .motion import BodySpec, CrowdContext, NoiseSpec, resolve_model, step_mean
-from .rvo import RvoParams, crowd_step
+from .rvo import RvoParams, check_fields, crowd_step
 
 #: Distance rule for track outcomes (meters).
 SUCCESS_THRESHOLD = 0.5
-
-#: Closed range of the observation noise ``sigma_obs`` (m).  Its square, the
-#: likelihood's variance, stays a normal float, so no log-likelihood is nan.
-MIN_SIGMA_OBS = 1e-150
-MAX_SIGMA_OBS = 1e150
-
-
-def check_sigma_obs(value: float):
-    """Raise ValueError, naming ``sigma_obs``, unless `MIN_SIGMA_OBS` <= ``value``
-    <= `MAX_SIGMA_OBS`."""
-    if not (MIN_SIGMA_OBS <= value <= MAX_SIGMA_OBS):
-        raise ValueError(f"sigma_obs must be in [{MIN_SIGMA_OBS!r}, {MAX_SIGMA_OBS!r}] m, "
-                         f"got {value!r}")
-
 
 class NoEligibleTrials(ValueError):
     """No trajectory spans the learning window or reaches a tracking horizon."""
@@ -57,7 +43,7 @@ class GaussianPositionLikelihood:
     sigma_obs: float = 0.1
 
     def __post_init__(self):
-        check_sigma_obs(self.sigma_obs)
+        check_fields(self)
 
     def log_likelihood(self, obs, states: np.ndarray) -> np.ndarray:
         if obs is None:
@@ -281,9 +267,7 @@ class ProtocolConfig:
     threshold: float = SUCCESS_THRESHOLD
 
     def __post_init__(self):
-        check_sigma_obs(self.sigma_obs)
-        if not (0.0 < self.threshold < np.inf):
-            raise ValueError("threshold must be finite and > 0")
+        check_fields(self)
         for name in ("start_stride", "learn_steps", "predict_steps", "track_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -25,6 +25,7 @@ from .bench import (PROTOCOL_KEYS, ConfigError, Key, NoEligibleTrials, ProtocolC
 from .data import (NonFiniteMotion, OverlappingScenario, Scenario, corrupt, make_scenario,
                    min_pairwise_separation, parse_trajectories, write_trajectories)
 from .motion import resolve_model
+from .rvo import check_domain
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,8 +101,7 @@ def _parse_seed(raw: str) -> int:
 
 def _parse_obs_noise(raw: str) -> float:
     sigma = parse_float(raw)
-    if not (0.0 <= sigma < float("inf")):
-        raise ValueError("must be finite and >= 0")
+    check_domain("obs_noise", sigma)
     return sigma
 
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .motion import BodySpec
-from .rvo import RvoParams, check_time, crowd_step
+from .rvo import RvoParams, check_fields, crowd_step
 
 #: Preferred walking speed of generated agents (m/s), recorded in each scenario's meta.
 PREF_SPEED = 1.3
@@ -82,7 +82,7 @@ class Frame:
 
 @dataclass
 class Scenario:
-    """Timed ground-plane trajectory set at fixed dt (see `rvo.check_time`)."""
+    """Timed ground-plane trajectory set at a fixed dt (its range is in `rvo.DOMAINS`)."""
 
     dt: float
     frames: List[Frame]
@@ -90,7 +90,7 @@ class Scenario:
     meta: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        check_time("dt", self.dt)
+        check_fields(self)
         times = [f.time_index for f in self.frames]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise NonMonotoneFrames("frame time indices must be strictly increasing")
@@ -257,7 +257,7 @@ def _check_finite_motion(dt: float, frames: Sequence[Tuple[int, Dict[int, np.nda
 def parse_trajectories(path, fmt: str = "csv-fixy") -> Scenario:
     """Load a trajectory file into a canonical Scenario.
 
-    Raises ``ValueError`` on malformed rows or a dt outside `rvo.check_time`'s
+    Raises ``ValueError`` on malformed rows or a dt outside its `rvo.DOMAINS`
     range, and `NonFiniteMotion` on a frame-to-frame velocity that is not finite.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -338,9 +338,9 @@ def make_scenario(kind: str, n_agents: int, seed: int, steps: Optional[int] = No
     near arrival, so agents stop at their goals.
 
     The clock is checked first: a dt whose simulation step (dt / 4 for the
-    circle) fails `rvo.check_time` raises ValueError starting with ``dt``.  A
-    negative step count, or one above `MAX_STEPS` (given or the kind's
-    default), raises ValueError before anything is simulated.  Raises
+    circle) lies outside its `rvo.DOMAINS` range raises ValueError starting
+    with ``dt``.  A negative step count, or one above `MAX_STEPS` (given or
+    the kind's default), raises ValueError before anything is simulated.  Raises
     :class:`OverlappingScenario` when two agents still come closer than
     ``2 * body.radius - 1e-6`` in a recorded frame (circle-8 seeds 18, 106
     and 12005 do).

@@ -24,6 +24,7 @@ import numpy as np
 
 from .motion import (CrowdContext, NoiseSpec, STATE_DIM, predict_mean_batch,
                      sample_transition_batch, step_mean)
+from .rvo import check_domain
 
 #: Below this max log-likelihood a step is treated as carrying no information.
 LOG_UNDERFLOW = -700.0
@@ -79,7 +80,7 @@ class ParticleSet:
 
 @dataclass(frozen=True)
 class HpfConfig:
-    """Mixture order K, mixture weights pi (sum to 1) and particle count M."""
+    """Mixture order K, weights pi (in `rvo.DOMAINS`, summing to 1) and particle count M."""
 
     order_k: int = 2
     pi: Tuple[float, ...] = (0.91, 0.09)
@@ -92,10 +93,8 @@ class HpfConfig:
             raise ValueError("particles_m must be >= 1")
         if len(self.pi) != self.order_k:
             raise ValueError("pi must have exactly order_k entries")
-        pi = np.asarray(self.pi, dtype=np.float64)
-        if not np.all(np.isfinite(pi) & (pi >= 0.0)):
-            raise ValueError("pi entries must be finite and >= 0")
-        if abs(float(pi.sum()) - 1.0) > 1e-9:
+        check_domain("pi", self.pi)
+        if abs(float(np.sum(self.pi)) - 1.0) > 1e-9:
             raise ValueError("pi must sum to 1")
 
 

@@ -25,10 +25,10 @@ Inside it every returned velocity is finite and lies within ``max_speed`` up to
 rounding (relative 1e-12), the least-violation fallback included.  Outside it
 both kernels still agree bit for bit, but squares overflow or underflow and a
 velocity may be nan or too fast.  Inputs are not validated here.
-:func:`crowdtrack.rvo.check_body` checks radii and speed limits,
-:func:`crowdtrack.rvo.check_time` the step and the horizon, and
-:func:`crowdtrack.rvo.crowd_step` its state rows.  The filters' rows are
-finite where they come from: the tracker's neighbour rows from
+:data:`crowdtrack.rvo.DOMAINS` bounds radii, speed limits, the step and the
+horizon; every configuration checks its fields against it, and
+:func:`crowdtrack.rvo.crowd_step` its bodies and state rows.  The filters'
+rows are finite where they come from: the tracker's neighbour rows from
 ``JointTracker._publish``, which rejects a non-finite mean.
 
 Conventions

@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from . import kernels
-from .rvo import RvoParams, check_body
+from .rvo import RvoParams, check_fields
 
 #: Hard cap on pedestrian speed and desired speed (m/s).
 SPEED_CAP = 3.0
@@ -31,27 +31,25 @@ MODELS = ("lin", "rvo")
 
 @dataclass(frozen=True)
 class BodySpec:
-    """Disc radius and speed limit used for an agent inside the filters (see `check_body`)."""
+    """Disc radius and speed limit used for an agent inside the filters (see `rvo.DOMAINS`)."""
 
     radius: float = 0.2
     max_speed: float = 2.5
 
     def __post_init__(self):
-        check_body(self.radius, self.max_speed)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-block transition noise (standard deviations, all finite and >= 0)."""
+    """Per-block transition noise (standard deviations, see `rvo.DOMAINS`)."""
 
     sigma_position: float = 0.05
     sigma_velocity: float = 0.1
     sigma_desired: float = 0.05
 
     def __post_init__(self):
-        for name in ("sigma_position", "sigma_velocity", "sigma_desired"):
-            if not (0.0 <= getattr(self, name) < np.inf):
-                raise ValueError(f"{name} must be finite and >= 0")
+        check_fields(self)
 
     def block_scales(self) -> np.ndarray:
         """Length-6 vector of per-coordinate standard deviations."""

@@ -5,11 +5,12 @@ pair of agents the set of relative velocities colliding within a planning
 horizon forms a truncated cone in velocity space; sharing the avoidance
 effort equally gives each agent one permitted half-plane per neighbor, and
 the new velocity is the feasible point closest to the agent's desired
-velocity.  The geometry is in :mod:`crowdtrack.kernels`; this module checks
-bodies and steps state rows [px, py, vx, vy, des_x, des_y] (:func:`crowd_step`):
-the crowd becomes Python lists once per step, each in-range pair's cone is built
-once with the scalar :func:`crowdtrack.kernels.pair_shift` and mirrored for the
-pair's second agent, and each agent's velocity program is solved with
+velocity.  The geometry is in :mod:`crowdtrack.kernels`; this module holds the
+input domains (`DOMAINS`) and steps state rows [px, py, vx, vy, des_x, des_y]
+(:func:`crowd_step`): the crowd becomes Python lists once per step, each
+in-range pair's cone is built once with the scalar
+:func:`crowdtrack.kernels.pair_shift` and mirrored for the pair's second
+agent, and each agent's velocity program is solved with
 :func:`crowdtrack.kernels.solve_velocity_kernel`, bitwise as
 :func:`crowdtrack.kernels.rvo_velocity` per agent.  The filters' particle
 batches take the row kernel instead, through :mod:`crowdtrack.motion`.
@@ -18,56 +19,62 @@ batches take the row kernel instead, through :mod:`crowdtrack.motion`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import kernels
 
-#: Smallest speed limit a body may have (m/s).  Its square is a normal float,
-#: so the kernel's speed-disc test cannot underflow to 0 > 0 and admit any speed.
-MIN_MAX_SPEED = 1e-150
+#: Closed range and unit of every configurable float, by field name.  Each bound
+#: keeps the squares the code forms normal floats (the kernels' input domain, and
+#: the likelihood's variance): a length or speed lies in [1e-150, 1e150], with 0
+#: allowed for a noise level and inf for ``neighbor_radius`` (no cutoff).  A step
+#: or horizon lies in [1e-6, 1e6] s, so with kernel inputs in [1e-100, 1e100]
+#: every x / tau, r / dt and v * dt lies in [1e-106, 1e106].  A mixture weight
+#: ``pi`` lies in [0, 1].
+DOMAINS = {
+    "time_horizon_tau": (1e-6, 1e6, "s"),
+    "dt": (1e-6, 1e6, "s"),
+    "neighbor_radius": (1e-150, math.inf, "m"),
+    "radius": (1e-150, 1e150, "m"),
+    "max_speed": (1e-150, 1e150, "m/s"),
+    "sigma_position": (0.0, 1e150, "m"),
+    "sigma_velocity": (0.0, 1e150, "m/s"),
+    "sigma_desired": (0.0, 1e150, "m/s"),
+    "sigma_obs": (1e-150, 1e150, "m"),
+    "threshold": (1e-150, 1e150, "m"),
+    "obs_noise": (0.0, 1e150, "m"),
+    "pi": (0.0, 1.0, ""),
+}
 
-#: Largest radius a body may have (m).  The square of two radii summed stays a
-#: normal float (4e300), inside the kernel's stated input domain.
-MAX_RADIUS = 1e150
 
-#: Closed range of a step length ``dt`` and a planning horizon ``tau`` (s).  With
-#: kernel inputs in [1e-100, 1e100], every x / tau, r / dt and v * dt then lies in
-#: [1e-106, 1e106], so their squares stay normal floats, as the kernel's domain needs.
-MIN_TIME = 1e-6
-MAX_TIME = 1e6
-
-
-def check_time(name: str, value: float):
-    """Raise ValueError, naming ``name``, unless `MIN_TIME` <= ``value`` <= `MAX_TIME`."""
-    if not (MIN_TIME <= value <= MAX_TIME):
-        raise ValueError(f"{name} must be in [{MIN_TIME!r}, {MAX_TIME!r}] s, got {value!r}")
+def check_domain(name: str, value):
+    """Raise ValueError, starting with ``name``, unless ``value`` (a number or an
+    array) lies within ``DOMAINS[name]``; nan never does."""
+    low, high, unit = DOMAINS[name]
+    for v in np.asarray(value).ravel().tolist():
+        if not low <= v <= high:
+            within = f"[{low!r}, {high!r}] {unit}".rstrip()
+            raise ValueError(f"{name} must be in {within}, got {v!r}")
 
 
-def check_body(radius: float, max_speed: float):
-    """Raise ValueError, naming the field, unless 0 < ``radius`` <= `MAX_RADIUS`
-    and `MIN_MAX_SPEED` <= ``max_speed`` < inf."""
-    if not (0.0 < radius <= MAX_RADIUS):
-        raise ValueError(f"radius must be > 0 and <= {MAX_RADIUS!r}")
-    if not (MIN_MAX_SPEED <= max_speed < np.inf):
-        raise ValueError(f"max_speed must be finite and >= {MIN_MAX_SPEED!r}")
+def check_fields(obj):
+    """`check_domain` on every float field of the dataclass ``obj``; each has a row."""
+    for f in fields(obj):
+        if f.type in ("float", float):
+            check_domain(f.name, getattr(obj, f.name))
 
 
 @dataclass(frozen=True)
 class RvoParams:
-    """Planning horizon and step length (see `check_time`) and neighbor cutoff (> 0, inf
-    for none)."""
+    """Planning horizon, step length and neighbor cutoff (inf for none); ranges in `DOMAINS`."""
 
     time_horizon_tau: float = 2.0
     dt: float = 0.4
     neighbor_radius: float = 10.0
 
     def __post_init__(self):
-        check_time("time_horizon_tau", self.time_horizon_tau)
-        check_time("dt", self.dt)
-        if not (self.neighbor_radius > 0.0):
-            raise ValueError("neighbor_radius must be > 0")
+        check_fields(self)
 
 
 def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
@@ -79,9 +86,9 @@ def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
     pair's velocity-obstacle cone is built once and mirrored for the pair's
     second row, so the velocities are bitwise those of
     `kernels.rvo_velocity` per row with half the cone work.  The desired
-    velocities are kept.  Each row's body is checked by `check_body`, and a
-    non-finite state row raises ValueError.  Returns new rows; ``states`` is
-    not modified.
+    velocities are kept.  The radii and speed limits are checked against
+    `DOMAINS`, and a non-finite state row raises ValueError.  Returns new
+    rows; ``states`` is not modified.
     """
     states = np.asarray(states, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
@@ -91,10 +98,10 @@ def crowd_step(states, radii, max_speeds, params: RvoParams) -> np.ndarray:
         raise ValueError("states must have shape (n, 6), radii and max_speeds shape (n,)")
     if not np.isfinite(states).all():
         raise ValueError("states must be finite")
+    check_domain("radius", radii)
+    check_domain("max_speed", max_speeds)
     rads = radii.tolist()
     speeds = max_speeds.tolist()
-    for radius, max_speed in zip(rads, speeds):
-        check_body(radius, max_speed)
     # One conversion per call; the kernels then run on Python floats and lists.
     rows = states.tolist()
     tau = float(params.time_horizon_tau)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import platform
 import tempfile
@@ -8,10 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crowdtrack.bench import PROTOCOL_KEYS, ConfigError, ProtocolConfig, configure
+from crowdtrack.bench import (PROTOCOL_KEYS, ConfigError, GaussianPositionLikelihood,
+                              ProtocolConfig, configure, parse_float)
 from crowdtrack.data import min_pairwise_separation, parse_trajectories
 from crowdtrack import cli, data
 from crowdtrack.cli import GRID_PREFIX, RUN_KEYS, RunConfig, apply_setting, main
+from crowdtrack.filters import HpfConfig
+from crowdtrack.motion import BodySpec, NoiseSpec
+from crowdtrack.rvo import DOMAINS, RvoParams
 
 
 def run(args):
@@ -264,6 +269,7 @@ TRACK = ["track", "--kind", "corridor", "--agents", 2, "--seed", 5, "--steps", 2
 PREDICT = ["predict", "--kind", "crossing", "--agents", 2, "--seed", 2, "--set", "hpf.m=30"]
 SWEEP = ["sweep", "--kind", "crossing", "--agents", 2, "--set", "sweep.grid.hpf.m=10"]
 DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
+PAST_1E150 = repr(np.nextafter(1e150, np.inf).item())
 
 
 @pytest.mark.parametrize("argv, code, key", [
@@ -273,6 +279,13 @@ DT_ROWS = "frame,id,x,y\n0,1,0.0,0.0\n1,1,0.1,0.0\n"
     (TRACK + ["--set", "obs.sigma=1e-300"], 2, "obs.sigma"),
     (TRACK + ["--set", "obs.sigma=1e300"], 2, "obs.sigma"),
     (TRACK + ["--set", "noise.sigma_velocity=nan"], 2, "noise.sigma_velocity"),
+    # Just past the upper edge of each key's `rvo.DOMAINS` row; each used to run.
+    (TRACK + ["--set", f"noise.sigma_position={PAST_1E150}"], 2, "noise.sigma_position"),
+    (TRACK + ["--set", f"noise.sigma_velocity={PAST_1E150}"], 2, "noise.sigma_velocity"),
+    (TRACK + ["--set", f"noise.sigma_desired={PAST_1E150}"], 2, "noise.sigma_desired"),
+    (TRACK + ["--set", f"body.max_speed={PAST_1E150}"], 2, "body.max_speed"),
+    (TRACK + ["--set", f"bench.threshold={PAST_1E150}"], 2, "bench.threshold"),
+    (PREDICT + ["--obs-noise", PAST_1E150], 2, "obs.noise"),
     (TRACK + ["--set", "bench.start_stride=0"], 2, "bench.start_stride"),
     (TRACK + ["--set", "bench.learn_steps=-3"], 2, "bench.learn_steps"),
     (TRACK + ["--set", "bench.threshold=nan"], 2, "bench.threshold"),
@@ -398,6 +411,56 @@ def test_main_keeps_freed_heap_once_per_process(monkeypatch):
         assert result == (1, 1)
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
     assert cli._keep_freed_heap.__wrapped__() is None
+
+
+FLOAT_KEYS = [key for key, spec in PROTOCOL_KEYS.items() if spec.parse is parse_float]
+
+
+def test_every_float_field_has_one_domain_row():
+    float_fields = [f.name for cls in (RvoParams, BodySpec, NoiseSpec, GaussianPositionLikelihood,
+                                       ProtocolConfig, HpfConfig, data.Scenario)
+                    for f in dataclasses.fields(cls) if f.type in ("float", "Tuple[float, ...]")]
+    float_fields.append(RUN_KEYS["obs.noise"].path)
+    assert sorted(set(float_fields)) == sorted(DOMAINS)
+    # Each float key sets the field of its row.
+    assert {PROTOCOL_KEYS[key].path.rpartition(".")[2] for key in FLOAT_KEYS} <= set(DOMAINS)
+
+
+@pytest.fixture(scope="module")
+def crossing_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("crossing")
+    assert run(["simulate", "--kind", "crossing", "--agents", 2, "--steps", 6, "--out", out]) == 0
+    return out / "trajectories.csv"
+
+
+EDGE_RUNS = {
+    "predict": ["--set", "bench.learn_steps=2", "--set", "bench.predict_steps=2",
+                "--set", "bench.prediction_horizons=1,2"],
+    "track": ["--set", "bench.track_steps=2", "--set", "bench.tracking_horizons=1,2"],
+}
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS + ["obs.noise"])
+def test_float_key_runs_at_its_edges_and_is_rejected_past_them(tmp_path, capsys, crossing_csv,
+                                                               key):
+    # Both protocols on a 7-frame file, whose dt is the run's clock.
+    low, high, _ = DOMAINS[(RUN_KEYS.get(key) or PROTOCOL_KEYS[key]).path.rpartition(".")[2]]
+    runs = [(low, 0), (high, 0)] + [(past, 2) for past, edge in (
+        (np.nextafter(low, -np.inf), low), (np.nextafter(high, np.inf), high)) if past != edge]
+    for value, code in runs:
+        for command, settings in EDGE_RUNS.items():
+            out = tmp_path / f"{command}{value!r}"
+            assert run([command, "--input", crossing_csv, "--set", "hpf.m=8",
+                        "--set", "bench.start_stride=1", *settings,
+                        "--set", f"{key}={float(value)!r}", "--out", out]) == code, value
+            if code == 2:
+                assert f"'{key}'" in capsys.readouterr().err
+                continue
+            with open(out / "report.csv", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            figures = [float(v) for row in rows for k, v in row.items()
+                       if k not in ("dataset", "model", "filter")]
+            assert rows and np.isfinite(figures).all(), (value, command, rows)
 
 
 SETTING_KEYS = sorted(RUN_KEYS) + sorted(PROTOCOL_KEYS) + [GRID_PREFIX + k for k in sorted(PROTOCOL_KEYS)]

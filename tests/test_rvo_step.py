@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from crowdtrack import RvoParams, crowd_step, kernels
 from crowdtrack.data import make_scenario
-from crowdtrack.rvo import MAX_RADIUS, MAX_TIME, MIN_MAX_SPEED, MIN_TIME
+from crowdtrack.rvo import DOMAINS
 from helpers import crowd_step_oracle
 
 
@@ -167,7 +167,7 @@ class TestRvoStep:
         # Below about 1e-162 m/s the kernel's squared speed underflows, and this
         # body's desired velocity [2e-170, 0] came back unclamped.
         with pytest.raises(ValueError, match="^max_speed must"):
-            crowd_step([[0.0, 0.0, 0.0, 0.0, 2e-170, 0.0]], [2.5e-171], [1.5e-170], PARAMS)
+            crowd_step([[0.0, 0.0, 0.0, 0.0, 2e-170, 0.0]], [0.2], [1.5e-170], PARAMS)
 
     @pytest.mark.parametrize("bad", [-0.2, 0.0, np.inf, np.nan])
     @pytest.mark.parametrize("field", ["radius", "max_speed"])
@@ -183,7 +183,8 @@ class TestRvoStep:
         rows = np.array([[-1.0, 0.0, 1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0, -1.0, 0.0]])
         with pytest.raises(ValueError, match="^radius must"):
             crowd_step(rows, [0.2, 1e200], [1.5, 1.5], PARAMS)
-        stepped = crowd_step(rows, [MAX_RADIUS, MAX_RADIUS], [1.5, 1.5], PARAMS)
+        max_radius = DOMAINS["radius"][1]
+        stepped = crowd_step(rows, [max_radius, max_radius], [1.5, 1.5], PARAMS)
         assert np.isfinite(stepped).all()
 
     def test_negative_bodies_are_rejected(self):
@@ -194,16 +195,18 @@ class TestRvoStep:
 
     def test_speed_limit_at_the_floor_is_enforced(self):
         # A floor low enough for the squared speed to underflow fails here.
-        row = [[0.0, 0.0, 0.0, 0.0, 2 * MIN_MAX_SPEED, 0.0]]
-        velocity = velocities(row, [MIN_MAX_SPEED], [MIN_MAX_SPEED])[0]
-        assert np.hypot(*velocity) <= MIN_MAX_SPEED * (1.0 + 1e-12)  # norm would underflow
+        floor = DOMAINS["max_speed"][0]
+        row = [[0.0, 0.0, 0.0, 0.0, 2 * floor, 0.0]]
+        velocity = velocities(row, [floor], [floor])[0]
+        assert np.hypot(*velocity) <= floor * (1.0 + 1e-12)  # norm would underflow
 
     @pytest.mark.parametrize("field", ["dt", "time_horizon_tau"])
     def test_clock_is_in_its_closed_range(self, field):
         # At tau = 1e300, x / tau squared to 0 and avoidance was silently dropped.
-        for ok in (MIN_TIME, MAX_TIME):
+        low, high, _ = DOMAINS[field]
+        for ok in (low, high):
             assert getattr(RvoParams(**{field: ok}), field) == ok
-        for bad in (0.0, np.nextafter(MIN_TIME, 0.0), np.nextafter(MAX_TIME, np.inf),
+        for bad in (0.0, np.nextafter(low, 0.0), np.nextafter(high, np.inf),
                     1e300, np.inf, np.nan):
             with pytest.raises(ValueError, match=f"^{field} must be in"):
                 RvoParams(**{field: bad})
